@@ -1,57 +1,16 @@
 #pragma once
 
-#include <string>
-
 #include "core/dps_config.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
 
-/// Loads a DpsConfig from an INI file — the C++ counterpart of the paper
-/// artifact's src/DPS/config.py. Unset keys keep their defaults, so a
-/// deployment config only lists what it changes. Recognized layout:
-///
-///   [dps]
-///   history_length = 20
-///   kf_process_variance = 4.0
-///   kf_measurement_variance = 4.0
-///   peak_prominence = 20
-///   peak_count_threshold = 2
-///   std_threshold = 8
-///   deriv_inc_threshold = 2.0
-///   deriv_dec_threshold = -4.0
-///   deriv_length = 3
-///   idle_demote_fraction = 0.65
-///   idle_demote_steps = 4
-///   restore_threshold = 0.95
-///   evict_unresponsive = true
-///   unresponsive_power_floor = 8.0
-///   unresponsive_steps = 5
-///   use_kalman_filter = true
-///   use_priority_module = true
-///   use_restore = true
-///   favor_low_caps = true
-///
-///   [stateless]
-///   inc_threshold = 0.95
-///   dec_threshold = 0.85
-///   inc_percentile = 1.10
-///   dec_percentile = 0.95
-///   dec_floor_margin = 1.0
-///   decision_interval_steps = 1
-///   dec_window_steps = 1
-///
-/// Throws std::runtime_error on parse failures; unknown keys are ignored
-/// (forward compatibility).
-///
-/// Other subsystems own their sections in the same file: [net] is parsed
-/// by src/net/net_config, [ctrl] (the hierarchical control plane) by
-/// src/ctrl/ctrl_config, [sched] by src/sched/sched_config, [obs] by
-/// src/obs/obs_config, [faults] by src/faults/fault_config.
-DpsConfig dps_config_from_ini(const IniFile& ini);
-DpsConfig dps_config_from_file(const std::string& path);
+/// The [dps] section: DPS's own tunables — the C++ counterpart of the
+/// paper artifact's src/DPS/config.py. configs/dps.ini lists every key.
+IniSection ini_section(DpsConfig& config);
 
-/// Applies the [stateless] section alone (used for SLURM baseline tuning).
-MimdConfig mimd_config_from_ini(const IniFile& ini, const MimdConfig& base);
+/// The [stateless] section: Algorithm 1's knobs, read both into DPS's
+/// internal MIMD instance and into the SLURM baseline.
+IniSection ini_section(MimdConfig& config);
 
 }  // namespace dps

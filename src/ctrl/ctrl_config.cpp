@@ -1,55 +1,31 @@
 #include "ctrl/ctrl_config.hpp"
 
-#include <stdexcept>
-
 namespace dps {
-namespace {
 
-void apply_int(const IniFile& ini, const char* key, int& field) {
-  if (const auto value = ini.get_int("ctrl", key)) {
-    field = static_cast<int>(*value);
-  }
+IniSection ini_section(CtrlConfig& c) {
+  return {"ctrl",
+          {{"shard_size", c.shard_size},
+           {"max_levels", c.max_levels},
+           {"leaf_jobs", c.leaf_jobs},
+           {"parent_host", c.parent_host},
+           {"parent_port", c.parent_port},
+           {"parent_unit", c.parent_unit}}};
 }
 
-}  // namespace
-
-void validate_ctrl_config(const CtrlConfig& config) {
-  if (config.shard_size < 1) {
-    throw std::runtime_error("[ctrl] shard_size must be >= 1");
+void validate_ctrl_config(const CtrlConfig& c) {
+  auto fail = [](const char* key, const char* what) {
+    throw ConfigError("ctrl", key, what);
+  };
+  if (c.shard_size < 1) fail("shard_size", "must be >= 1");
+  if (c.max_levels < 1) fail("max_levels", "must be >= 1");
+  if (c.leaf_jobs < 1) fail("leaf_jobs", "must be >= 1");
+  if (c.parent_port < 0 || c.parent_port > 65535) {
+    fail("parent_port", "must be in [0, 65535]");
   }
-  if (config.max_levels < 1) {
-    throw std::runtime_error("[ctrl] max_levels must be >= 1");
+  if (c.parent_unit < -1) fail("parent_unit", "must be >= -1");
+  if (!c.parent_host.empty() && c.parent_port == 0) {
+    fail("parent_host", "needs a parent_port");
   }
-  if (config.leaf_jobs < 1) {
-    throw std::runtime_error("[ctrl] leaf_jobs must be >= 1");
-  }
-  if (config.parent_port < 0 || config.parent_port > 65535) {
-    throw std::runtime_error("[ctrl] parent_port must be in [0, 65535]");
-  }
-  if (config.parent_unit < -1) {
-    throw std::runtime_error("[ctrl] parent_unit must be >= -1");
-  }
-  if (!config.parent_host.empty() && config.parent_port == 0) {
-    throw std::runtime_error("[ctrl] parent_host needs a parent_port");
-  }
-}
-
-CtrlConfig ctrl_config_from_ini(const IniFile& ini) {
-  CtrlConfig config;
-  apply_int(ini, "shard_size", config.shard_size);
-  apply_int(ini, "max_levels", config.max_levels);
-  apply_int(ini, "leaf_jobs", config.leaf_jobs);
-  if (const auto value = ini.get("ctrl", "parent_host")) {
-    config.parent_host = *value;
-  }
-  apply_int(ini, "parent_port", config.parent_port);
-  apply_int(ini, "parent_unit", config.parent_unit);
-  validate_ctrl_config(config);
-  return config;
-}
-
-CtrlConfig ctrl_config_from_file(const std::string& path) {
-  return ctrl_config_from_ini(IniFile::load(path));
 }
 
 }  // namespace dps

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 #include "util/ini.hpp"
@@ -41,14 +40,13 @@ struct CtrlConfig {
   int parent_unit = -1;
 };
 
-/// Applies the `[ctrl]` section on top of the defaults and validates:
-/// shard_size >= 1, max_levels >= 1, leaf_jobs >= 1, parent_port in
-/// [0, 65535], parent_unit >= -1. Throws std::runtime_error (with the
-/// offending key in the message) on a bad value.
-CtrlConfig ctrl_config_from_ini(const IniFile& ini);
-CtrlConfig ctrl_config_from_file(const std::string& path);
+/// The [ctrl] section's key table.
+IniSection ini_section(CtrlConfig& config);
 
-/// Validation alone, for configs assembled from command-line flags.
+/// Throws ConfigError naming the offending [ctrl] key unless
+/// shard_size, max_levels and leaf_jobs are >= 1, parent_port is in
+/// [0, 65535], parent_unit >= -1 and a parent_host comes with a
+/// parent_port. Shared by the INI loader, dpsd's flags and the consumers.
 void validate_ctrl_config(const CtrlConfig& config);
 
 }  // namespace dps

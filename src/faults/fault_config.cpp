@@ -1,65 +1,27 @@
 #include "faults/fault_config.hpp"
 
-#include <stdexcept>
+#include <algorithm>
 
 namespace dps {
-namespace {
 
-void apply_double(const IniFile& ini, const char* key, double& field) {
-  if (const auto value = ini.get_double("faults", key)) field = *value;
-}
-
-}  // namespace
-
-FaultPlanConfig fault_plan_config_from_ini(const IniFile& ini) {
-  FaultPlanConfig config;
-  if (const auto seed = ini.get_int("faults", "seed")) {
-    config.seed = static_cast<std::uint64_t>(*seed);
+IniSection ini_section(FaultPlanConfig& c) {
+  IniSection section{"faults", {{"seed", c.seed}, {"horizon", c.horizon}}};
+  for (const FaultRate& r : kFaultRates) {
+    section.keys.emplace_back(r.key, c.*r.rate);
   }
-  apply_double(ini, "horizon", config.horizon);
-  apply_double(ini, "crash_rate", config.crash_rate);
-  apply_double(ini, "sensor_dropout_rate", config.sensor_dropout_rate);
-  apply_double(ini, "sensor_garbage_rate", config.sensor_garbage_rate);
-  apply_double(ini, "cap_stuck_rate", config.cap_stuck_rate);
-  apply_double(ini, "budget_sag_rate", config.budget_sag_rate);
-  apply_double(ini, "net_connect_refuse_rate", config.net_connect_refuse_rate);
-  apply_double(ini, "net_read_stall_rate", config.net_read_stall_rate);
-  apply_double(ini, "net_disconnect_rate", config.net_disconnect_rate);
-  apply_double(ini, "fan_degrade_rate", config.fan_degrade_rate);
-  apply_double(ini, "temp_stuck_rate", config.temp_stuck_rate);
-  apply_double(ini, "min_duration", config.min_duration);
-  apply_double(ini, "max_duration", config.max_duration);
-  apply_double(ini, "sag_floor", config.sag_floor);
-  apply_double(ini, "fan_degrade_min", config.fan_degrade_min);
-  apply_double(ini, "fan_degrade_max", config.fan_degrade_max);
-
-  if (config.horizon <= 0.0 || config.min_duration < 0.0 ||
-      config.max_duration < config.min_duration || config.sag_floor <= 0.0 ||
-      config.sag_floor > 1.0 || config.crash_rate < 0.0 ||
-      config.sensor_dropout_rate < 0.0 || config.sensor_garbage_rate < 0.0 ||
-      config.cap_stuck_rate < 0.0 || config.budget_sag_rate < 0.0 ||
-      config.net_connect_refuse_rate < 0.0 ||
-      config.net_read_stall_rate < 0.0 || config.net_disconnect_rate < 0.0 ||
-      config.fan_degrade_rate < 0.0 || config.temp_stuck_rate < 0.0 ||
-      config.fan_degrade_min < 1.0 ||
-      config.fan_degrade_max < config.fan_degrade_min) {
-    throw std::invalid_argument("[faults]: out-of-range value");
-  }
-  return config;
-}
-
-FaultPlanConfig fault_plan_config_from_file(const std::string& path) {
-  return fault_plan_config_from_ini(IniFile::load(path));
+  section.keys.insert(section.keys.end(),
+                      {{"min_duration", c.min_duration},
+                       {"max_duration", c.max_duration},
+                       {"sag_floor", c.sag_floor},
+                       {"fan_degrade_min", c.fan_degrade_min},
+                       {"fan_degrade_max", c.fan_degrade_max}});
+  return section;
 }
 
 bool any_fault_rate(const FaultPlanConfig& config) {
-  return config.crash_rate > 0.0 || config.sensor_dropout_rate > 0.0 ||
-         config.sensor_garbage_rate > 0.0 || config.cap_stuck_rate > 0.0 ||
-         config.budget_sag_rate > 0.0 ||
-         config.net_connect_refuse_rate > 0.0 ||
-         config.net_read_stall_rate > 0.0 ||
-         config.net_disconnect_rate > 0.0 || config.fan_degrade_rate > 0.0 ||
-         config.temp_stuck_rate > 0.0;
+  return std::any_of(
+      std::begin(kFaultRates), std::end(kFaultRates),
+      [&](const FaultRate& r) { return config.*r.rate > 0.0; });
 }
 
 }  // namespace dps

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "util/ini.hpp"
 #include "util/rng.hpp"
 
 namespace dps {
@@ -68,6 +69,27 @@ void validate(const std::vector<FaultEvent>& events, int num_units) {
 
 }  // namespace
 
+void validate(const FaultPlanConfig& c) {
+  auto fail = [](const char* key, const char* what) {
+    throw ConfigError("faults", key, what);
+  };
+  if (!(c.horizon > 0.0)) fail("horizon", "must be > 0");
+  for (const FaultRate& r : kFaultRates) {
+    if (!(c.*r.rate >= 0.0)) fail(r.key, "must be >= 0");
+  }
+  if (!(c.min_duration >= 0.0)) fail("min_duration", "must be >= 0");
+  if (!(c.max_duration >= c.min_duration)) {
+    fail("max_duration", "must be >= min_duration");
+  }
+  if (!(c.sag_floor > 0.0 && c.sag_floor <= 1.0)) {
+    fail("sag_floor", "must be in (0, 1]");
+  }
+  if (!(c.fan_degrade_min >= 1.0)) fail("fan_degrade_min", "must be >= 1");
+  if (!(c.fan_degrade_max >= c.fan_degrade_min)) {
+    fail("fan_degrade_max", "must be >= fan_degrade_min");
+  }
+}
+
 FaultPlan::FaultPlan(std::vector<FaultEvent> events, int num_units)
     : events_(std::move(events)) {
   validate(events_, num_units);
@@ -78,38 +100,15 @@ FaultPlan FaultPlan::generate(const FaultPlanConfig& config, int num_units) {
   if (num_units <= 0) {
     throw std::invalid_argument("FaultPlan::generate: num_units must be > 0");
   }
-  if (config.horizon <= 0.0 || config.min_duration < 0.0 ||
-      config.max_duration < config.min_duration || config.sag_floor <= 0.0 ||
-      config.sag_floor > 1.0 || config.fan_degrade_min < 1.0 ||
-      config.fan_degrade_max < config.fan_degrade_min) {
-    throw std::invalid_argument("FaultPlan::generate: invalid config");
-  }
-
-  struct KindRate {
-    FaultKind kind;
-    double rate;  // events per 1000 s
-  };
-  const KindRate kinds[] = {
-      {FaultKind::kUnitCrash, config.crash_rate},
-      {FaultKind::kSensorDropout, config.sensor_dropout_rate},
-      {FaultKind::kSensorGarbage, config.sensor_garbage_rate},
-      {FaultKind::kCapStuck, config.cap_stuck_rate},
-      {FaultKind::kBudgetSag, config.budget_sag_rate},
-      {FaultKind::kNetConnectRefuse, config.net_connect_refuse_rate},
-      {FaultKind::kNetReadStall, config.net_read_stall_rate},
-      {FaultKind::kNetDisconnect, config.net_disconnect_rate},
-      // New kinds go at the end: each kind's stream is split off in array
-      // order, so appending never reshuffles existing plans.
-      {FaultKind::kFanDegrade, config.fan_degrade_rate},
-      {FaultKind::kTempSensorStuck, config.temp_stuck_rate},
-  };
+  validate(config);
 
   Rng rng(config.seed);
   std::vector<FaultEvent> events;
-  for (const auto& [kind, rate] : kinds) {
+  for (const auto& [kind, key, rate_field] : kFaultRates) {
     // Each kind draws from its own child stream so adding one kind to a
     // config never reshuffles the arrivals of the others.
     Rng stream = rng.split();
+    const double rate = config.*rate_field;
     if (rate <= 0.0) continue;
     const double lambda = rate / 1000.0;  // events per second
     Seconds t = 0.0;

@@ -99,6 +99,41 @@ struct FaultPlanConfig {
   double fan_degrade_max = 2.0;
 };
 
+/// Each fault kind with its rate field and [faults] key, in the
+/// generator's stream order. New kinds go at the end: each kind's stream
+/// is split off in array order, so appending never reshuffles existing
+/// plans.
+struct FaultRate {
+  FaultKind kind;
+  const char* key;
+  double FaultPlanConfig::*rate;  // events per 1000 s
+};
+inline constexpr FaultRate kFaultRates[] = {
+    {FaultKind::kUnitCrash, "crash_rate", &FaultPlanConfig::crash_rate},
+    {FaultKind::kSensorDropout, "sensor_dropout_rate",
+     &FaultPlanConfig::sensor_dropout_rate},
+    {FaultKind::kSensorGarbage, "sensor_garbage_rate",
+     &FaultPlanConfig::sensor_garbage_rate},
+    {FaultKind::kCapStuck, "cap_stuck_rate", &FaultPlanConfig::cap_stuck_rate},
+    {FaultKind::kBudgetSag, "budget_sag_rate",
+     &FaultPlanConfig::budget_sag_rate},
+    {FaultKind::kNetConnectRefuse, "net_connect_refuse_rate",
+     &FaultPlanConfig::net_connect_refuse_rate},
+    {FaultKind::kNetReadStall, "net_read_stall_rate",
+     &FaultPlanConfig::net_read_stall_rate},
+    {FaultKind::kNetDisconnect, "net_disconnect_rate",
+     &FaultPlanConfig::net_disconnect_rate},
+    {FaultKind::kFanDegrade, "fan_degrade_rate",
+     &FaultPlanConfig::fan_degrade_rate},
+    {FaultKind::kTempSensorStuck, "temp_stuck_rate",
+     &FaultPlanConfig::temp_stuck_rate},
+};
+
+/// Throws ConfigError naming the offending [faults] key when a field is
+/// out of range (non-positive horizon, negative rate, max_duration below
+/// min_duration, sag_floor outside (0, 1], fan-degrade range below 1).
+void validate(const FaultPlanConfig& config);
+
 /// An immutable, time-sorted schedule of fault events. Fully deterministic:
 /// the same (config, num_units) always generates the bit-identical plan,
 /// which is what makes faulted experiments reproducible and comparable
@@ -114,7 +149,8 @@ class FaultPlan {
   FaultPlan(std::vector<FaultEvent> events, int num_units);
 
   /// Draws a random plan from Poisson arrivals per fault kind (exponential
-  /// inter-arrival times), deterministically from config.seed.
+  /// inter-arrival times), deterministically from config.seed. Validates
+  /// the config first.
   static FaultPlan generate(const FaultPlanConfig& config, int num_units);
 
   const std::vector<FaultEvent>& events() const { return events_; }

@@ -36,15 +36,13 @@ struct NetConfig {
   std::size_t checkpoint_interval_rounds = 30;
 };
 
-/// Applies the `[net]` section on top of the defaults and validates:
-/// round_deadline_s >= 0, backoffs > 0 with max >= base, attempts >= 1,
-/// failsafe_cap_w >= 0, checkpoint_interval_rounds >= 1. Throws
-/// std::runtime_error (with the offending key in the message) on a bad
-/// value.
-NetConfig net_config_from_ini(const IniFile& ini);
-NetConfig net_config_from_file(const std::string& path);
+/// The [net] section's key table.
+IniSection ini_section(NetConfig& config);
 
-/// Validation alone, for configs assembled from command-line flags.
+/// Throws ConfigError naming the offending [net] key unless
+/// round_deadline_s >= 0, backoffs > 0 with max >= base, attempts >= 1,
+/// failsafe_cap_w >= 0 and checkpoint_interval_rounds >= 1. Shared by the
+/// INI loader, dpsd's flags and the server.
 void validate_net_config(const NetConfig& config);
 
 }  // namespace dps

@@ -7,38 +7,25 @@
 
 namespace dps::obs {
 
-ObsConfig obs_config_from_ini(const IniFile& ini) {
-  ObsConfig config;
-  if (const auto v = ini.get_bool("obs", "enabled")) config.enabled = *v;
-  if (const auto v = ini.get_int("obs", "events_capacity")) {
-    if (*v <= 0) {
-      throw std::invalid_argument("[obs] events_capacity must be > 0");
-    }
-    config.events_capacity = static_cast<std::size_t>(*v);
-  }
-  if (const auto v = ini.get_bool("obs", "span_events")) {
-    config.span_events = *v;
-  }
-  if (const auto v = ini.get("obs", "export_prometheus")) {
-    config.export_prometheus = *v;
-  }
-  if (const auto v = ini.get("obs", "export_metrics_csv")) {
-    config.export_metrics_csv = *v;
-  }
-  if (const auto v = ini.get("obs", "export_events_csv")) {
-    config.export_events_csv = *v;
-  }
-  if (const auto v = ini.get("obs", "export_trace_json")) {
-    config.export_trace_json = *v;
-  }
-  return config;
+IniSection ini_section(ObsConfig& c) {
+  return {"obs",
+          {{"enabled", c.enabled},
+           {"events_capacity", c.events_capacity},
+           {"span_events", c.span_events},
+           {"export_prometheus", c.export_prometheus},
+           {"export_metrics_csv", c.export_metrics_csv},
+           {"export_events_csv", c.export_events_csv},
+           {"export_trace_json", c.export_trace_json}}};
 }
 
-ObsConfig obs_config_from_file(const std::string& path) {
-  return obs_config_from_ini(IniFile::load(path));
+void validate(const ObsConfig& config) {
+  if (config.events_capacity == 0) {
+    throw ConfigError("obs", "events_capacity", "must be > 0");
+  }
 }
 
 ObsSink make_sink(const ObsConfig& config) {
+  validate(config);
   if (!config.enabled) return ObsSink();
   return ObsSink::create(config.events_capacity, config.span_events);
 }

@@ -7,20 +7,9 @@
 
 namespace dps::obs {
 
-/// Configuration of the observability subsystem, loaded from the `[obs]`
-/// section of a DPS INI file (see configs/dps.ini). Unset keys keep the
-/// defaults; unknown keys are ignored (forward compatibility). Layout:
-///
-///   [obs]
-///   enabled = false
-///   events_capacity = 65536    ; ring keeps the newest N events
-///   span_events = true         ; RAII spans also land in the event log
-///   export_prometheus = obs_metrics.prom
-///   export_metrics_csv = obs_metrics.csv
-///   export_events_csv = obs_events.csv
-///   export_trace_json = obs_trace.json
-///
-/// Empty export paths skip that exporter.
+/// Configuration of the observability subsystem, the `[obs]` section of a
+/// DPS INI file (see configs/dps.ini). Empty export paths skip that
+/// exporter.
 struct ObsConfig {
   bool enabled = false;
   std::size_t events_capacity = 65536;
@@ -37,12 +26,14 @@ struct ObsConfig {
   }
 };
 
-/// Throws std::invalid_argument on an events_capacity of 0.
-ObsConfig obs_config_from_ini(const IniFile& ini);
-ObsConfig obs_config_from_file(const std::string& path);
+/// The [obs] section's key table.
+IniSection ini_section(ObsConfig& config);
 
-/// A sink per the config: enabled ⇒ a fresh Observer, otherwise the
-/// disabled (free) sink.
+/// Throws ConfigError on an events_capacity of 0.
+void validate(const ObsConfig& config);
+
+/// A sink per the (validated) config: enabled ⇒ a fresh Observer,
+/// otherwise the disabled (free) sink.
 ObsSink make_sink(const ObsConfig& config);
 
 /// Runs every configured exporter against the sink's observer. No-op on a

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/ini.hpp"
 #include "util/rng.hpp"
 #include "workloads/instance.hpp"
 
@@ -28,6 +29,25 @@ WorkloadSpec shrink_spec(const WorkloadSpec& spec, int requested,
 
 }  // namespace
 
+void validate(const JobScheduleConfig& c) {
+  auto fail = [](const char* key, const char* what) {
+    throw ConfigError("sched", key, what);
+  };
+  if (!(c.arrival_rate_per_1000s > 0.0)) fail("arrival_rate", "must be > 0");
+  if (c.job_count < 0) fail("job_count", "must be >= 0");
+  if (c.min_units < 1) fail("min_units", "must be >= 1");
+  if (c.max_units < c.min_units) fail("max_units", "must be >= min_units");
+  if (c.workload_mix.empty()) fail("workload_mix", "names no workloads");
+  if (c.retry_cap < 0) fail("retry_cap", "must be >= 0");
+  if (!(c.slowdown_bound > 0.0)) fail("slowdown_bound", "must be > 0");
+  if (!(c.walltime_factor > 0.0)) fail("walltime_factor", "must be > 0");
+  if (!(c.power.fit_fraction > 0.0)) fail("power_fit_fraction", "must be > 0");
+  if (!(c.power.min_shrink_fraction > 0.0 &&
+        c.power.min_shrink_fraction <= 1.0)) {
+    fail("min_shrink_fraction", "must be in (0, 1]");
+  }
+}
+
 SchedRuntime::SchedRuntime(const JobScheduleConfig& config, int total_units,
                            const obs::ObsSink& obs)
     : resolve_(config.resolve),
@@ -42,10 +62,7 @@ SchedRuntime::SchedRuntime(const JobScheduleConfig& config, int total_units,
     throw std::invalid_argument(
         "JobScheduleConfig: a workload resolver is required");
   }
-  if (config.retry_cap < 0 || config.walltime_factor <= 0.0 ||
-      config.slowdown_bound <= 0.0) {
-    throw std::invalid_argument("JobScheduleConfig: invalid parameters");
-  }
+  validate(config);
   if (!config.trace.empty()) {
     arrivals_ = ArrivalStream::from_records(config.trace);
   } else {

@@ -43,6 +43,11 @@ struct JobScheduleConfig {
   PowerAwareConfig power;
 };
 
+/// Throws ConfigError naming the offending [sched] key when a field is out
+/// of range (non-positive rate or fractions, job_count or retry_cap < 0,
+/// min_units < 1 or above max_units, an empty workload mix).
+void validate(const JobScheduleConfig& config);
+
 /// Drives one job-scheduled run: drains arrivals into the JobQueue, asks
 /// the Scheduler for placements, binds them to units through the
 /// PlacementMap / JobHost, requeues crash victims, and keeps the KPI

@@ -1,103 +1,45 @@
 #include "sched/sched_config.hpp"
 
-#include <sstream>
 #include <stdexcept>
 
 namespace dps::sched {
-namespace {
 
-std::vector<std::string> split_names(const std::string& value) {
-  std::vector<std::string> names;
-  std::istringstream in(value);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    const auto begin = item.find_first_not_of(" \t");
-    if (begin == std::string::npos) continue;
-    const auto end = item.find_last_not_of(" \t");
-    names.push_back(item.substr(begin, end - begin + 1));
-  }
-  return names;
+IniSection ini_section(JobScheduleConfig& c) {
+  return {"sched",
+          {{"policy", c.policy},
+           {"seed", c.seed},
+           {"arrival_rate", c.arrival_rate_per_1000s},
+           {"job_count", c.job_count},
+           {"min_units", c.min_units},
+           {"max_units", c.max_units},
+           {"workload_mix", c.workload_mix},
+           {"job_trace", c.trace},
+           {"retry_cap", c.retry_cap},
+           {"slowdown_bound", c.slowdown_bound},
+           {"walltime_factor", c.walltime_factor},
+           {"power_fit_fraction", c.power.fit_fraction},
+           {"min_shrink_fraction", c.power.min_shrink_fraction}}};
 }
 
-}  // namespace
-
-JobScheduleConfig sched_config_from_ini(const IniFile& ini) {
-  JobScheduleConfig config;
-  const std::string section = "sched";
-
-  if (const auto v = ini.get(section, "policy")) {
-    if (!sched_policy_from_string(*v, config.policy)) {
-      throw std::invalid_argument("[sched] unknown policy: " + *v);
-    }
+void ini_read(const std::string& text, SchedPolicy& out) {
+  if (!sched_policy_from_string(text, out)) {
+    throw std::invalid_argument("unknown policy '" + text +
+                                "' (fcfs | backfill | power)");
   }
-  if (const auto v = ini.get_int(section, "seed")) {
-    config.seed = static_cast<std::uint64_t>(*v);
-  }
-  if (const auto v = ini.get_double(section, "arrival_rate")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] arrival_rate must be > 0");
-    }
-    config.arrival_rate_per_1000s = *v;
-  }
-  if (const auto v = ini.get_int(section, "job_count")) {
-    if (*v < 0) throw std::invalid_argument("[sched] job_count must be >= 0");
-    config.job_count = static_cast<int>(*v);
-  }
-  if (const auto v = ini.get_int(section, "min_units")) {
-    if (*v < 1) throw std::invalid_argument("[sched] min_units must be >= 1");
-    config.min_units = static_cast<int>(*v);
-  }
-  if (const auto v = ini.get_int(section, "max_units")) {
-    if (*v < 1) throw std::invalid_argument("[sched] max_units must be >= 1");
-    config.max_units = static_cast<int>(*v);
-  }
-  if (config.max_units < config.min_units) {
-    throw std::invalid_argument("[sched] max_units < min_units");
-  }
-  if (const auto v = ini.get(section, "workload_mix")) {
-    const auto names = split_names(*v);
-    if (names.empty()) {
-      throw std::invalid_argument("[sched] workload_mix names no workloads");
-    }
-    config.workload_mix = names;
-  }
-  if (const auto v = ini.get(section, "job_trace"); v && !v->empty()) {
-    config.trace = load_job_trace(*v);
-  }
-  if (const auto v = ini.get_int(section, "retry_cap")) {
-    if (*v < 0) throw std::invalid_argument("[sched] retry_cap must be >= 0");
-    config.retry_cap = static_cast<int>(*v);
-  }
-  if (const auto v = ini.get_double(section, "slowdown_bound")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] slowdown_bound must be > 0");
-    }
-    config.slowdown_bound = *v;
-  }
-  if (const auto v = ini.get_double(section, "walltime_factor")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] walltime_factor must be > 0");
-    }
-    config.walltime_factor = *v;
-  }
-  if (const auto v = ini.get_double(section, "power_fit_fraction")) {
-    if (*v <= 0.0) {
-      throw std::invalid_argument("[sched] power_fit_fraction must be > 0");
-    }
-    config.power.fit_fraction = *v;
-  }
-  if (const auto v = ini.get_double(section, "min_shrink_fraction")) {
-    if (*v <= 0.0 || *v > 1.0) {
-      throw std::invalid_argument(
-          "[sched] min_shrink_fraction must be in (0, 1]");
-    }
-    config.power.min_shrink_fraction = *v;
-  }
-  return config;
 }
 
-JobScheduleConfig sched_config_from_file(const std::string& path) {
-  return sched_config_from_ini(IniFile::load(path));
+std::string ini_write(SchedPolicy policy) { return to_string(policy); }
+
+void ini_read(const std::string& text, std::vector<JobArrival>& out) {
+  out = text.empty() ? std::vector<JobArrival>{} : load_job_trace(text);
+}
+
+std::string ini_write(const std::vector<JobArrival>& trace) {
+  if (!trace.empty()) {
+    throw ConfigError("sched", "job_trace",
+                      "a loaded trace has no path to write");
+  }
+  return "";
 }
 
 }  // namespace dps::sched

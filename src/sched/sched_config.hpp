@@ -1,39 +1,26 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "sched/runtime.hpp"
 #include "util/ini.hpp"
 
 namespace dps::sched {
 
-/// Loads the `[sched]` section of a DPS INI file (see configs/dps.ini)
-/// into a JobScheduleConfig. Unset keys keep the defaults; unknown keys
-/// are ignored (forward compatibility). Recognized layout:
-///
-///   [sched]
-///   policy = fcfs              ; fcfs | backfill | power
-///   seed = 2024
-///   arrival_rate = 5.0         ; expected jobs per 1000 s (Poisson mode)
-///   job_count = 40             ; jobs in the generated stream
-///   min_units = 2              ; per-job unit request range
-///   max_units = 8
-///   workload_mix = Kmeans,GMM  ; names drawn uniformly (Poisson mode)
-///   job_trace =                ; CSV replay file; overrides Poisson
-///   retry_cap = 2              ; crash-requeues before a job is dropped
-///   slowdown_bound = 10        ; [s] bounded-slowdown runtime floor
-///   walltime_factor = 1.3      ; estimate = factor x nominal duration
-///   power_fit_fraction = 1.0   ; power-aware admission headroom
-///   min_shrink_fraction = 0.5  ; smallest power-aware grant fraction
-///
-/// A non-empty job_trace is loaded (and parsed) immediately into the
-/// returned config's trace records. The workload resolver is NOT set
-/// here — callers attach `workload_by_name` or their own table.
-///
-/// Throws std::runtime_error on unparsable values or an unreadable trace
-/// file and std::invalid_argument on out-of-range ones (unknown policy,
-/// retry_cap < 0, non-positive rate/count/fractions).
-JobScheduleConfig sched_config_from_ini(const IniFile& ini);
-JobScheduleConfig sched_config_from_file(const std::string& path);
+/// The [sched] section: the job stream and the policy knobs (see
+/// configs/dps.ini). The workload resolver is never read from a file —
+/// callers attach `workload_by_name` or their own table.
+IniSection ini_section(JobScheduleConfig& config);
+
+/// `policy`: fcfs | backfill | power, or a longer spelling
+/// sched_policy_from_string accepts.
+void ini_read(const std::string& text, SchedPolicy& out);
+std::string ini_write(SchedPolicy policy);
+
+/// `job_trace`: a CSV trace path, loaded on read; empty = Poisson mode.
+/// Loaded records keep no path, so only an empty trace can be written.
+void ini_read(const std::string& text, std::vector<JobArrival>& out);
+std::string ini_write(const std::vector<JobArrival>& trace);
 
 }  // namespace dps::sched

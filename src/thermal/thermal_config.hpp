@@ -1,39 +1,13 @@
 #pragma once
 
-#include <optional>
-#include <string>
-
 #include "thermal/thermal_model.hpp"
 #include "util/ini.hpp"
 
 namespace dps {
 
-/// Loads a ThermalConfig from the `[thermal]` section of a DPS INI file
-/// (see configs/dps.ini). Returns nullopt when the section is absent or
-/// `enabled = false` — the caller leaves EngineConfig::thermal unset and
-/// the run is bit-identical to a pre-thermal build. Recognized layout:
-///
-///   [thermal]
-///   enabled = true
-///   ambient = 25             ; [C] inlet temperature
-///   resistance = 0.45        ; [C/W] junction-to-ambient
-///   time_constant = 60       ; [s] RC time constant
-///   trip = 95                ; [C] governor engages at/above
-///   clear = 85               ; [C] governor releases at/below
-///   throttle_cap = 60        ; [W] cap forced while throttled
-///   jitter = 0.05            ; per-unit R/tau jitter fraction
-///   seed = 42
-///
-/// Unset keys keep the defaults. Throws std::runtime_error on unparsable
-/// lines (propagated from IniFile) and std::invalid_argument with the
-/// offending key's line number on semantically invalid values (negative
-/// time constants, trip <= clear, ...).
-std::optional<ThermalConfig> thermal_config_from_ini(const IniFile& ini);
-std::optional<ThermalConfig> thermal_config_from_file(const std::string& path);
-
-/// Serializes a config back to a `[thermal]` section (every key explicit,
-/// enabled = true). parse(to_ini(c)) reproduces c exactly for any valid c;
-/// the fuzz driver leans on this round trip.
-std::string thermal_config_to_ini(const ThermalConfig& config);
+/// The [thermal] section: the RC model and governor parameters (see
+/// configs/dps.ini) plus `enabled`, which defaults to true — listing the
+/// section turns the model on, `enabled = false` keeps it off.
+IniSection ini_section(ThermalConfig& config, bool& enabled);
 
 }  // namespace dps

@@ -5,28 +5,22 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/ini.hpp"
 #include "util/rng.hpp"
 
 namespace dps {
 
-void validate(const ThermalConfig& config) {
-  if (config.resistance_c_per_w <= 0.0) {
-    throw std::invalid_argument("[thermal]: resistance must be > 0");
-  }
-  if (config.time_constant_s <= 0.0) {
-    throw std::invalid_argument("[thermal]: time_constant must be > 0");
-  }
-  if (config.trip_c <= config.clear_c) {
-    throw std::invalid_argument("[thermal]: trip must be > clear");
-  }
-  if (config.trip_c <= config.ambient_c) {
-    throw std::invalid_argument("[thermal]: trip must be > ambient");
-  }
-  if (config.throttle_cap_w <= 0.0) {
-    throw std::invalid_argument("[thermal]: throttle_cap must be > 0");
-  }
-  if (config.jitter_fraction < 0.0 || config.jitter_fraction >= 1.0) {
-    throw std::invalid_argument("[thermal]: jitter must be in [0, 1)");
+void validate(const ThermalConfig& c) {
+  auto fail = [](const char* key, const char* what) {
+    throw ConfigError("thermal", key, what);
+  };
+  if (!(c.resistance_c_per_w > 0.0)) fail("resistance", "must be > 0");
+  if (!(c.time_constant_s > 0.0)) fail("time_constant", "must be > 0");
+  if (!(c.trip_c > c.clear_c)) fail("trip", "must be > clear");
+  if (!(c.trip_c > c.ambient_c)) fail("trip", "must be > ambient");
+  if (!(c.throttle_cap_w > 0.0)) fail("throttle_cap", "must be > 0");
+  if (!(c.jitter_fraction >= 0.0 && c.jitter_fraction < 1.0)) {
+    fail("jitter", "must be in [0, 1)");
   }
 }
 

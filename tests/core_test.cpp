@@ -4,8 +4,8 @@
 #include <numeric>
 #include <vector>
 
+#include "config/file_config.hpp"
 #include "core/cap_readjuster.hpp"
-#include "core/config_io.hpp"
 #include "core/dps_manager.hpp"
 #include "core/history.hpp"
 #include "core/priority_module.hpp"
@@ -96,8 +96,8 @@ TEST(History, EwmaAblationSmooths) {
 }
 
 TEST(History, EwmaConfigIoRoundTrip) {
-  const auto config = dps_config_from_ini(IniFile::parse(
-      "[dps]\nuse_kalman_filter = false\newma_alpha = 0.3\n"));
+  const auto config = file_config_from_ini(IniFile::parse(
+      "[dps]\nuse_kalman_filter = false\newma_alpha = 0.3\n")).dps;
   EXPECT_FALSE(config.use_kalman_filter);
   EXPECT_DOUBLE_EQ(config.ewma_alpha, 0.3);
 }

@@ -12,6 +12,7 @@
 #include <thread>
 #include <vector>
 
+#include "config/file_config.hpp"
 #include "core/dps_manager.hpp"
 #include "ctrl/aggregator.hpp"
 #include "ctrl/ctrl_config.hpp"
@@ -273,7 +274,7 @@ TEST(CtrlConfig, IniRoundTripAndValidation) {
       "parent_host = head0\n"
       "parent_port = 9570\n"
       "parent_unit = 1\n");
-  const CtrlConfig config = ctrl_config_from_ini(ini);
+  const CtrlConfig config = file_config_from_ini(ini).ctrl;
   EXPECT_EQ(config.shard_size, 16);
   EXPECT_EQ(config.max_levels, 2);
   EXPECT_EQ(config.leaf_jobs, 3);
@@ -282,18 +283,17 @@ TEST(CtrlConfig, IniRoundTripAndValidation) {
   EXPECT_EQ(config.parent_unit, 1);
 
   // Defaults survive an empty file.
-  const CtrlConfig defaults = ctrl_config_from_ini(IniFile::parse(""));
+  const CtrlConfig defaults = file_config_from_ini(IniFile::parse("")).ctrl;
   EXPECT_EQ(defaults.shard_size, 32);
   EXPECT_EQ(defaults.parent_port, 0);
 
-  EXPECT_THROW(ctrl_config_from_ini(IniFile::parse("[ctrl]\nshard_size = 0\n")),
-               std::runtime_error);
-  EXPECT_THROW(
-      ctrl_config_from_ini(IniFile::parse("[ctrl]\nparent_port = 70000\n")),
-      std::runtime_error);
-  EXPECT_THROW(
-      ctrl_config_from_ini(IniFile::parse("[ctrl]\nparent_host = h\n")),
-      std::runtime_error);  // host without port
+  auto load = [](const char* text) {
+    return file_config_from_ini(IniFile::parse(text));
+  };
+  EXPECT_THROW(load("[ctrl]\nshard_size = 0\n"), ConfigError);
+  EXPECT_THROW(load("[ctrl]\nparent_port = 70000\n"), ConfigError);
+  EXPECT_THROW(load("[ctrl]\nparent_host = h\n"),
+               ConfigError);  // host without port
 }
 
 TEST(AggregatorCheckpoint, FileRoundTripAndCorruptionRejected) {

@@ -10,6 +10,7 @@
 #include <memory>
 #include <numeric>
 
+#include "config/file_config.hpp"
 #include "core/dps_manager.hpp"
 #include "experiments/registry.hpp"
 #include "faults/fault_config.hpp"
@@ -252,7 +253,7 @@ TEST(FaultConfig, ParsesIniSection) {
       "crash_rate = 1.5\n"
       "budget_sag_rate = 0.25\n"
       "sag_floor = 0.5\n");
-  const auto config = fault_plan_config_from_ini(ini);
+  const auto config = file_config_from_ini(ini).faults;
   EXPECT_EQ(config.seed, 99u);
   EXPECT_DOUBLE_EQ(config.horizon, 2000.0);
   EXPECT_DOUBLE_EQ(config.crash_rate, 1.5);
@@ -263,19 +264,19 @@ TEST(FaultConfig, ParsesIniSection) {
 }
 
 TEST(FaultConfig, RejectsOutOfRangeValues) {
-  EXPECT_THROW(fault_plan_config_from_ini(
+  EXPECT_THROW(file_config_from_ini(
                    IniFile::parse("[faults]\nsag_floor = 1.5\n")),
-               std::invalid_argument);
-  EXPECT_THROW(fault_plan_config_from_ini(
+               ConfigError);
+  EXPECT_THROW(file_config_from_ini(
                    IniFile::parse("[faults]\ncrash_rate = -1\n")),
-               std::invalid_argument);
+               ConfigError);
 }
 
 TEST(FaultConfig, ShippedConfigHasFaultsSection) {
   const auto ini = IniFile::load(std::string(DPS_SOURCE_DIR) +
                                  "/configs/dps.ini");
   ASSERT_TRUE(ini.has_section("faults"));
-  const auto config = fault_plan_config_from_ini(ini);
+  const auto config = file_config_from_ini(ini).faults;
   EXPECT_FALSE(any_fault_rate(config));  // drills are opt-in
 }
 
@@ -586,17 +587,18 @@ TEST(NetFaults, GeneratorEmitsNetKindsAtConfiguredRates) {
 }
 
 TEST(NetFaults, IniParsesNetRates) {
-  const auto config = fault_plan_config_from_ini(IniFile::parse(
-      "[faults]\n"
-      "net_connect_refuse_rate = 1.5\n"
-      "net_read_stall_rate = 2.5\n"
-      "net_disconnect_rate = 3.5\n"));
+  const auto config = file_config_from_ini(IniFile::parse(
+                          "[faults]\n"
+                          "net_connect_refuse_rate = 1.5\n"
+                          "net_read_stall_rate = 2.5\n"
+                          "net_disconnect_rate = 3.5\n"))
+                          .faults;
   EXPECT_DOUBLE_EQ(config.net_connect_refuse_rate, 1.5);
   EXPECT_DOUBLE_EQ(config.net_read_stall_rate, 2.5);
   EXPECT_DOUBLE_EQ(config.net_disconnect_rate, 3.5);
-  EXPECT_THROW(fault_plan_config_from_ini(
+  EXPECT_THROW(file_config_from_ini(
                    IniFile::parse("[faults]\nnet_read_stall_rate = -1\n")),
-               std::invalid_argument);
+               ConfigError);
 }
 
 }  // namespace

@@ -14,10 +14,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "config/file_config.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/fault_plan.hpp"
 #include "net/protocol.hpp"
-#include "thermal/thermal_config.hpp"
 #include "util/csv_reader.hpp"
 #include "util/ini.hpp"
 
@@ -44,18 +44,16 @@ inline bool drive_protocol(const std::uint8_t* data, std::size_t size) {
   return round[0] == bytes[0] && round[1] == bytes[1] && round[2] == bytes[2];
 }
 
-/// INI parser: parse + probe lookups; throwing std::runtime_error on
-/// malformed text is the contract, anything else is a bug.
+/// INI parser: parse + probe lookups; throwing ConfigError on malformed
+/// text is the contract, anything else is a bug.
 inline void drive_ini(const std::uint8_t* data, std::size_t size) {
   const std::string text(reinterpret_cast<const char*>(data), size);
   try {
     const auto ini = IniFile::parse(text);
     (void)ini.get("a", "b");
-    (void)ini.get_double("", "x");
-    (void)ini.get_int("s", "k");
-    (void)ini.get_bool("s", "b");
+    (void)ini.line_of("s", "k");
     (void)ini.has_section("s");
-  } catch (const std::runtime_error&) {
+  } catch (const ConfigError&) {
   }
 }
 
@@ -148,58 +146,74 @@ inline bool drive_fault_plan(const std::uint8_t* data, std::size_t size) {
          static_cast<int>(generated.size());
 }
 
-/// [thermal] sections: hostile key values — negative time constants, trip
-/// and clear in either order, out-of-range jitter — must either produce a
-/// validated config or throw a std::invalid_argument prefixed "[thermal]:"
-/// (with the offending source line appended when the key appears in the
-/// text). A config that parses must survive thermal_config_to_ini ->
-/// thermal_config_from_ini with every field exactly equal. Returns false
-/// if either invariant breaks.
-inline bool drive_thermal_config(const std::uint8_t* data, std::size_t size) {
+/// INI configs, driven by the declared key tables: one section per buffer
+/// gets hostile values — numbers of either sign, garbage, integers past 32
+/// and 64 bits, misspelled keys — while the others keep their defaults
+/// spelled out or are left out. Loading must either produce a validated
+/// FileConfig or throw a ConfigError naming the section and a key. A
+/// config that loads must survive write_section -> file_config_from_ini
+/// with every field equal. Returns false if either invariant breaks.
+inline bool drive_config(const std::uint8_t* data, std::size_t size) {
   std::size_t pos = 0;
   auto next_byte = [&]() -> std::uint8_t {
     return pos < size ? data[pos++] : 0;
   };
+  static const char* const kOddValues[] = {
+      "",     "1.0.0",      "treu",       "off",        "yes",
+      "nan",  "inf",        "fcfs",       "backfill",   "x",
+      "-0",   "1e3",        "4294967297", "2147483648", "-2147483649",
+      "host", "Kmeans, EP", ",",          "18446744073709551615",
+      "18446744073709551616"};
+  constexpr std::size_t kOdd = sizeof(kOddValues) / sizeof(kOddValues[0]);
 
-  std::string text = "[thermal]\n";
-  const char* keys[] = {"enabled",       "ambient", "resistance",
-                        "time_constant", "trip",    "clear",
-                        "throttle_cap",  "jitter",  "seed"};
-  for (const char* key : keys) {
-    const std::uint8_t control = next_byte();
-    if (control % 4 == 0) continue;  // sometimes omitted -> defaults
-    std::string value;
-    if (std::string(key) == "enabled") {
-      value = control % 2 ? "true" : "false";
-    } else if (std::string(key) == "seed") {
-      value = std::to_string(static_cast<int>(next_byte()));
-    } else {
-      // In [-32, 95.5]: often negative or zero, so every semantic
-      // validator (resistance > 0, time_constant > 0, trip > clear, ...)
-      // gets exercised from real INI text.
-      value = std::to_string((static_cast<double>(next_byte()) - 64.0) * 0.5);
+  FileConfig defaults;
+  const auto sections = ini_sections(defaults);
+  const std::size_t target = next_byte() % sections.size();
+  std::string text;
+  for (std::size_t s = 0; s < sections.size(); ++s) {
+    const bool hostile = s == target;
+    if (!hostile && next_byte() % 2 == 0) continue;
+    text += "[" + sections[s].name + "]\n";
+    for (const IniKey& key : sections[s].keys) {
+      // A trace path would be opened; its loading has its own tests.
+      if (std::string(key.key()) == "job_trace") continue;
+      const std::uint8_t control = hostile ? next_byte() % 8 : 4;
+      if (control < 3) continue;  // omitted -> default
+      std::string name = key.key();
+      if (control == 3) name += "_";  // misspelled
+      std::string value = key.write();
+      if (control == 5) {
+        value = std::to_string((static_cast<double>(next_byte()) - 64.0) * 0.5);
+      } else if (control == 6) {
+        value = std::to_string(static_cast<int>(next_byte()) - 16);
+      } else if (control == 7) {
+        value = kOddValues[next_byte() % kOdd];
+      }
+      text += name + " = " + value + "\n";
     }
-    text += std::string(key) + " = " + value + "\n";
   }
+  if (next_byte() == 0xff) text += "[bogus]\nkey = 1\n";
 
+  FileConfig loaded;
   try {
-    const auto parsed = thermal_config_from_ini(IniFile::parse(text));
-    if (!parsed) return true;  // enabled = false — nothing to round-trip
-    const auto round = thermal_config_from_ini(
-        IniFile::parse(thermal_config_to_ini(*parsed)));
-    if (!round) return false;
-    return round->ambient_c == parsed->ambient_c &&
-           round->resistance_c_per_w == parsed->resistance_c_per_w &&
-           round->time_constant_s == parsed->time_constant_s &&
-           round->trip_c == parsed->trip_c &&
-           round->clear_c == parsed->clear_c &&
-           round->throttle_cap_w == parsed->throttle_cap_w &&
-           round->jitter_fraction == parsed->jitter_fraction &&
-           round->seed == parsed->seed;
-  } catch (const std::invalid_argument& error) {
-    // Semantic rejections must carry the section-qualified message.
-    return std::string(error.what()).rfind("[thermal]: ", 0) == 0;
+    loaded = file_config_from_ini(IniFile::parse(text));
+  } catch (const ConfigError& error) {
+    return !error.key().empty() &&
+           std::string(error.what())
+                   .rfind("[" + error.section() + "] " + error.key() + ": ",
+                          0) == 0;
   }
+  std::string dumped;
+  for (const IniSection& section : ini_sections(loaded)) {
+    dumped += write_section(section);
+  }
+  FileConfig again = file_config_from_ini(IniFile::parse(dumped));
+  const auto a = ini_sections(loaded);
+  const auto b = ini_sections(again);
+  for (std::size_t s = 0; s < a.size(); ++s) {
+    if (!same_values(a[s], b[s])) return false;
+  }
+  return true;
 }
 
 }  // namespace dps::fuzz

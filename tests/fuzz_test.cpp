@@ -67,9 +67,9 @@ TEST_P(FuzzSeeds, IniParseNeverCrashes) {
     try {
       const auto ini = IniFile::parse(text);
       (void)ini.get("a", "b");
-      (void)ini.get_double("", "x");
+      (void)ini.line_of("", "x");
       (void)ini.has_section("s");
-    } catch (const std::runtime_error&) {
+    } catch (const ConfigError&) {
       // Throwing on malformed text is the contract.
     }
   }
@@ -132,19 +132,18 @@ TEST_P(FuzzSeeds, FaultPlanDriverInvariantsHold) {
   }
 }
 
-TEST_P(FuzzSeeds, ThermalConfigDriverInvariantsHold) {
-  // Arbitrary bytes -> hostile [thermal] sections (negative time
-  // constants, trip/clear inverted, out-of-range jitter); the driver
-  // checks that parsing either validates or throws a "[thermal]: "-
-  // prefixed error, and that accepted configs round-trip exactly through
-  // thermal_config_to_ini (see fuzz_drivers.hpp).
+TEST_P(FuzzSeeds, ConfigDriverInvariantsHold) {
+  // Arbitrary bytes -> hostile values for one section's declared keys;
+  // the driver checks that loading either validates or throws a
+  // ConfigError naming section and key, and that accepted configs
+  // round-trip exactly through write_section (see fuzz_drivers.hpp).
   Rng rng(GetParam() ^ 0x6666ULL);
   for (int i = 0; i < 300; ++i) {
     std::vector<std::uint8_t> buffer(rng.uniform_int(64));
     for (auto& byte : buffer) {
       byte = static_cast<std::uint8_t>(rng.uniform_int(256));
     }
-    EXPECT_TRUE(fuzz::drive_thermal_config(buffer.data(), buffer.size()));
+    EXPECT_TRUE(fuzz::drive_config(buffer.data(), buffer.size()));
   }
 }
 

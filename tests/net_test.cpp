@@ -232,10 +232,13 @@ TEST(ControlPlane, DeadClientBudgetRedistributedOverTcp) {
   for (int u = 0; u < kUnits; ++u) {
     clients.emplace_back([&, u] {
       // Survivors pin at their cap (always hungry); unit 0 dies after
-      // two rounds (the destructor closes the socket).
+      // two rounds (the destructor closes the socket). The hint pins each
+      // client to its slot whatever order the connects land in.
       Watts cap = 110.0;
+      NodeClientConfig config;
+      config.unit_hint = u;
       NodeClient client([&] { return cap * 0.99; },
-                        [&](Watts c) { cap = c; });
+                        [&](Watts c) { cap = c; }, config);
       client.connect(server.port());
       if (u == 0) {
         for (int r = 0; r < 2; ++r) client.run_round();
@@ -801,6 +804,9 @@ TEST(EndToEnd, RestartFromCheckpointMatchesUninterruptedAndBeatsColdRestart) {
         config.backoff_base_s = 0.01;
         config.backoff_max_s = 0.05;
         config.jitter_seed = static_cast<std::uint64_t>(u) + 1;
+        // Hungry and idle behaviours keep their slots in every run, so the
+        // runs compare like with like whatever the connect order.
+        config.unit_hint = u;
         std::shared_ptr<double> cap = std::make_shared<double>(110.0);
         NodeClient client(
             [cap, u] { return u % 2 == 1 ? *cap * 0.99 : 30.0; },

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "config/file_config.hpp"
 #include "core/dps_manager.hpp"
 #include "faults/fault_plan.hpp"
 #include "net/client.hpp"
@@ -616,7 +617,7 @@ TEST(ObsConfigTest, ParsesIniSection) {
       "export_prometheus = m.prom\n"
       "export_events_csv = e.csv\n"
       "export_trace_json = t.json\n");
-  const ObsConfig config = obs_config_from_ini(ini);
+  const ObsConfig config = file_config_from_ini(ini).obs;
   EXPECT_TRUE(config.enabled);
   EXPECT_EQ(config.events_capacity, 128u);
   EXPECT_FALSE(config.span_events);
@@ -628,7 +629,7 @@ TEST(ObsConfigTest, ParsesIniSection) {
 }
 
 TEST(ObsConfigTest, DefaultsWhenSectionAbsent) {
-  const ObsConfig config = obs_config_from_ini(IniFile::parse("[dps]\n"));
+  const ObsConfig config = file_config_from_ini(IniFile::parse("")).obs;
   EXPECT_FALSE(config.enabled);
   EXPECT_EQ(config.events_capacity, 65536u);
   EXPECT_TRUE(config.span_events);
@@ -638,13 +639,13 @@ TEST(ObsConfigTest, DefaultsWhenSectionAbsent) {
 
 TEST(ObsConfigTest, RejectsZeroCapacity) {
   EXPECT_THROW(
-      obs_config_from_ini(IniFile::parse("[obs]\nevents_capacity = 0\n")),
-      std::invalid_argument);
+      file_config_from_ini(IniFile::parse("[obs]\nevents_capacity = 0\n")),
+      ConfigError);
 }
 
 TEST(ObsConfigTest, ShippedConfigParsesWithObsOff) {
   const ObsConfig config =
-      obs_config_from_file(std::string(DPS_SOURCE_DIR) + "/configs/dps.ini");
+      load_file_config(std::string(DPS_SOURCE_DIR) + "/configs/dps.ini").obs;
   EXPECT_FALSE(config.enabled);  // observability must default off
   EXPECT_EQ(config.events_capacity, 65536u);
   EXPECT_FALSE(config.any_export());

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "power/rapl_sysfs.hpp"
 
 namespace dps {
@@ -12,12 +14,15 @@ namespace {
 namespace fs = std::filesystem;
 
 /// Builds a synthetic powercap tree shaped like a dual-socket Xeon:
-/// two package domains plus a dram subdomain that must be ignored.
+/// two package domains plus a dram subdomain that must be ignored. The
+/// root carries the pid: ctest runs each test in its own process, all
+/// sharing one temp dir, and each process's counter starts at 0.
 class FakeSysfs {
  public:
   FakeSysfs() {
     root_ = fs::path(testing::TempDir()) /
-            ("powercap_" + std::to_string(counter_++));
+            ("powercap_" + std::to_string(::getpid()) + "_" +
+             std::to_string(counter_++));
     fs::create_directories(root_);
     make_domain("intel-rapl:0", "package-0");
     make_domain("intel-rapl:1", "package-1");

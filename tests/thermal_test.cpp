@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "config/file_config.hpp"
 #include "experiments/pair_runner.hpp"
 #include "experiments/registry.hpp"
 #include "experiments/sweep.hpp"
@@ -313,33 +314,34 @@ TEST(ThermalConfigIo, RoundTripAndLineNumberedRejection) {
   config.trip_c = 91.5;
   config.clear_c = 80.25;
   config.seed = 7;
-  const auto parsed =
-      thermal_config_from_ini(IniFile::parse(thermal_config_to_ini(config)));
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_DOUBLE_EQ(parsed->trip_c, config.trip_c);
-  EXPECT_DOUBLE_EQ(parsed->clear_c, config.clear_c);
-  EXPECT_EQ(parsed->seed, config.seed);
+  bool enabled = true;
+  const FileConfig parsed = file_config_from_ini(
+      IniFile::parse(write_section(ini_section(config, enabled))));
+  EXPECT_TRUE(parsed.thermal_enabled);
+  EXPECT_DOUBLE_EQ(parsed.thermal.trip_c, config.trip_c);
+  EXPECT_DOUBLE_EQ(parsed.thermal.clear_c, config.clear_c);
+  EXPECT_EQ(parsed.thermal.seed, config.seed);
 
-  // Absent section / disabled section => nullopt.
-  EXPECT_FALSE(thermal_config_from_ini(IniFile::parse("[dps]\n")).has_value());
-  EXPECT_FALSE(thermal_config_from_ini(
-                   IniFile::parse("[thermal]\nenabled = false\n"))
-                   .has_value());
+  // Absent section / disabled section => off; a listed one => on.
+  auto load = [](const char* text) {
+    return file_config_from_ini(IniFile::parse(text));
+  };
+  EXPECT_FALSE(load("[dps]\nhistory_length = 20\n").thermal_enabled);
+  EXPECT_FALSE(load("[thermal]\nenabled = false\n").thermal_enabled);
+  EXPECT_TRUE(load("[thermal]\ntrip = 90\n").thermal_enabled);
 
   // Semantic errors cite the offending line.
   try {
-    thermal_config_from_ini(
-        IniFile::parse("[thermal]\nambient = 25\ntime_constant = -3\n"));
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& err) {
+    load("[thermal]\nambient = 25\ntime_constant = -3\n");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& err) {
     EXPECT_NE(std::string(err.what()).find("line 3"), std::string::npos)
         << err.what();
   }
   try {
-    thermal_config_from_ini(
-        IniFile::parse("[thermal]\ntrip = 70\nclear = 80\n"));
-    FAIL() << "expected invalid_argument";
-  } catch (const std::invalid_argument& err) {
+    load("[thermal]\ntrip = 70\nclear = 80\n");
+    FAIL() << "expected ConfigError";
+  } catch (const ConfigError& err) {
     EXPECT_NE(std::string(err.what()).find("line 2"), std::string::npos)
         << err.what();
   }

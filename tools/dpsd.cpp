@@ -20,11 +20,10 @@
 #include <string>
 #include <thread>
 
+#include "config/file_config.hpp"
 #include "core/checkpoint.hpp"
-#include "core/config_io.hpp"
 #include "core/dps_manager.hpp"
 #include "ctrl/aggregator.hpp"
-#include "ctrl/ctrl_config.hpp"
 #include "managers/constant.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "net/net_config.hpp"
@@ -47,7 +46,7 @@ void print_usage() {
       "  --tdp W            per-unit TDP                    [165]\n"
       "  --min-cap W        per-unit minimum cap            [40]\n"
       "  --manager M        dps | slurm | constant | p2p    [dps]\n"
-      "  --config FILE      INI with [dps]/[stateless] sections\n"
+      "  --config FILE      DPS INI file (see configs/dps.ini)\n"
       "  --period SECONDS   decision-loop period            [1.0]\n"
       "  --rounds N         stop after N rounds (0 = until signal)\n"
       "  --bind-any         listen on all interfaces, not just loopback\n"
@@ -160,17 +159,11 @@ int main(int argc, char** argv) {
   if (budget <= 0.0) budget = 110.0 * units;
 
   try {
-    DpsConfig dps_config;
-    obs::ObsConfig obs_config;
-    NetConfig net_config;
-    CtrlConfig ctrl_config;
-    if (!config_path.empty()) {
-      const IniFile ini = IniFile::load(config_path);
-      dps_config = dps_config_from_ini(ini);
-      obs_config = obs::obs_config_from_ini(ini);
-      net_config = net_config_from_ini(ini);
-      ctrl_config = ctrl_config_from_ini(ini);
-    }
+    const FileConfig file = load_file_config(config_path);
+    const DpsConfig& dps_config = file.dps;
+    obs::ObsConfig obs_config = file.obs;
+    NetConfig net_config = file.net;
+    CtrlConfig ctrl_config = file.ctrl;
     // Explicit flags override the [ctrl] section.
     if (!parent_host.empty()) ctrl_config.parent_host = parent_host;
     if (parent_port > 0) ctrl_config.parent_port = parent_port;

@@ -17,19 +17,16 @@
 #include <optional>
 #include <string>
 
-#include "core/config_io.hpp"
+#include "config/file_config.hpp"
 #include "core/dps_manager.hpp"
 #include "ctrl/tree.hpp"
 #include "experiments/pair_runner.hpp"
-#include "net/net_config.hpp"
-#include "obs/obs_config.hpp"
 #include "experiments/registry.hpp"
 #include "managers/constant.hpp"
 #include "managers/oracle.hpp"
 #include "managers/slurm_stateless.hpp"
 #include "sched/arrivals.hpp"
 #include "sim/engine.hpp"
-#include "thermal/thermal_config.hpp"
 #include "util/csv.hpp"
 #include "util/table.hpp"
 #include "workloads/npb_suite.hpp"
@@ -96,9 +93,9 @@ void print_usage() {
       "  --budget <watts>  per-socket cluster budget        [110]\n"
       "  --sockets <n>     sockets per cluster              [10]\n"
       "  --trace <path>    dump per-step telemetry CSV\n"
-      "  --config <file>   INI with [dps]/[stateless]/[obs]/[thermal]\n"
-      "                    (the [net] section is validated too, so one\n"
-      "                    file can serve exp and the daemons)\n"
+      "  --config <file>   DPS INI file; exp uses [dps]/[stateless]/[obs]/\n"
+      "                    [thermal] and validates every section, so one\n"
+      "                    file can serve exp and the daemons\n"
       "  --obs-metrics <p> write Prometheus metrics of an observed run\n"
       "  --obs-events <p>  write the structured event-log CSV\n"
       "  --obs-trace <p>   write Chrome trace_event JSON (chrome://tracing)\n"
@@ -234,36 +231,12 @@ std::optional<Options> parse(int argc, char** argv) {
   return options;
 }
 
-/// Everything an INI --config can feed into exp. The [net] section is
-/// parsed and validated too — not used by the simulator, but it keeps a
-/// single dps.ini honest across exp, dpsd, and dps_node.
-struct FileConfig {
-  DpsConfig dps;
-  MimdConfig stateless = slurm_plugin_defaults();
-  obs::ObsConfig obs;
-  std::optional<ThermalConfig> thermal;
-};
-
-FileConfig load_file_config(const std::string& path) {
-  FileConfig fc;
-  if (path.empty()) return fc;
-  const IniFile ini = IniFile::load(path);
-  fc.dps = dps_config_from_ini(ini);
-  fc.stateless = mimd_config_from_ini(ini, slurm_plugin_defaults());
-  fc.obs = obs::obs_config_from_ini(ini);
-  fc.thermal = thermal_config_from_ini(ini);
-  validate_net_config(net_config_from_ini(ini));
-  return fc;
-}
-
 /// [thermal] section and --thermal* flags combined: flags win, any flag
 /// alone enables the subsystem with defaults.
 std::optional<ThermalConfig> resolve_thermal(const Options& options,
                                              const FileConfig& fc) {
-  if (!fc.thermal.has_value() && !options.thermal_flags()) {
-    return std::nullopt;
-  }
-  ThermalConfig t = fc.thermal.value_or(ThermalConfig{});
+  if (!fc.thermal_enabled && !options.thermal_flags()) return std::nullopt;
+  ThermalConfig t = fc.thermal_enabled ? fc.thermal : ThermalConfig{};
   if (options.thermal_trip) t.trip_c = *options.thermal_trip;
   if (options.thermal_clear) t.clear_c = *options.thermal_clear;
   if (options.thermal_cap) t.throttle_cap_w = *options.thermal_cap;
