@@ -69,21 +69,19 @@ double run_pair_gain(PowerManager& manager, const WorkloadSpec& wave,
   manager.reset(ctx);
   std::vector<Watts> caps(ctx.num_units, ctx.constant_cap());
   std::vector<Watts> power(ctx.num_units), measured(ctx.num_units);
-  for (int u = 0; u < ctx.num_units; ++u) rapl.set_cap(u, caps[u]);
+  rapl.set_cap_batch(caps);
 
   long flagged = 0, samples = 0;
   std::vector<Watts> effective(ctx.num_units);
   while (cluster.min_completions() < config.target_completions &&
          cluster.now() < config.max_time) {
-    for (int u = 0; u < ctx.num_units; ++u) {
-      effective[u] = rapl.effective_cap(u);
-    }
+    rapl.effective_caps_batch(effective);
     cluster.step(1.0, effective, power);
-    for (int u = 0; u < ctx.num_units; ++u) rapl.record(u, power[u], 1.0);
+    rapl.record_batch(power, 1.0);
     rapl.advance_step();
-    for (int u = 0; u < ctx.num_units; ++u) measured[u] = rapl.read_power(u);
+    rapl.read_power_batch(measured);
     manager.decide(measured, caps);
-    for (int u = 0; u < ctx.num_units; ++u) rapl.set_cap(u, caps[u]);
+    rapl.set_cap_batch(caps);
     if (dps) {
       for (int u = 0; u < 10; ++u) {
         flagged += dps->priorities().high_frequency(u) ? 1 : 0;

@@ -55,22 +55,22 @@ GranularityResult run_at_granularity(PowerManager& manager,
   std::vector<Watts> socket_caps(sockets, 110.0);
   std::vector<Watts> socket_power(sockets, 0.0);
   std::vector<Watts> measured(sockets, 0.0);
+  std::vector<Watts> effective(sockets, 0.0);
 
-  for (int s = 0; s < sockets; ++s) rapl.set_cap(s, socket_caps[s]);
+  rapl.set_cap_batch(socket_caps);
 
   const Seconds max_time = 40000.0;
   while (cluster.min_completions() < repeats && cluster.now() < max_time) {
-    std::vector<Watts> effective(sockets);
-    for (int s = 0; s < sockets; ++s) effective[s] = rapl.effective_cap(s);
+    rapl.effective_caps_batch(effective);
     cluster.step(1.0, effective, socket_power);
-    for (int s = 0; s < sockets; ++s) rapl.record(s, socket_power[s], 1.0);
+    rapl.record_batch(socket_power, 1.0);
     rapl.advance_step();
-    for (int s = 0; s < sockets; ++s) measured[s] = rapl.read_power(s);
+    rapl.read_power_batch(measured);
 
     aggregator.aggregate(measured, unit_power);
     manager.decide(unit_power, unit_caps);
     aggregator.split_caps(unit_caps, measured, socket_caps);
-    for (int s = 0; s < sockets; ++s) rapl.set_cap(s, socket_caps[s]);
+    rapl.set_cap_batch(socket_caps);
   }
 
   GranularityResult result;

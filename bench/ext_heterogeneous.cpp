@@ -66,16 +66,16 @@ HeteroResult run(PowerManager& manager, bool tdp_aware, int repeats) {
 
   std::vector<Watts> caps(20, ctx.constant_cap());
   std::vector<Watts> power(20), measured(20);
-  for (int u = 0; u < 20; ++u) rapl.set_cap(u, caps[u]);
+  std::vector<Watts> effective(20);
+  rapl.set_cap_batch(caps);
   while (cluster.min_completions() < repeats && cluster.now() < 60000.0) {
-    std::vector<Watts> effective(20);
-    for (int u = 0; u < 20; ++u) effective[u] = rapl.effective_cap(u);
+    rapl.effective_caps_batch(effective);
     cluster.step(1.0, effective, power);
-    for (int u = 0; u < 20; ++u) rapl.record(u, power[u], 1.0);
+    rapl.record_batch(power, 1.0);
     rapl.advance_step();
-    for (int u = 0; u < 20; ++u) measured[u] = rapl.read_power(u);
+    rapl.read_power_batch(measured);
     manager.decide(measured, caps);
-    for (int u = 0; u < 20; ++u) rapl.set_cap(u, caps[u]);
+    rapl.set_cap_batch(caps);
   }
 
   HeteroResult result;

@@ -153,10 +153,13 @@ void BM_EngineRunObs(benchmark::State& state) {
 BENCHMARK(BM_EngineRunObs)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_KalmanUpdate(benchmark::State& state) {
-  Kalman1D kf(4.0, 4.0, 100.0, 4.0);
+  KalmanBank kf(4.0, 4.0);
+  kf.reset(1, 100.0, 4.0);
   Rng rng(2);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(kf.update(100.0 + rng.normal(0.0, 2.0)));
+    const double measured = 100.0 + rng.normal(0.0, 2.0);
+    kf.update({&measured, 1});
+    benchmark::DoNotOptimize(kf.estimate(0));
   }
 }
 BENCHMARK(BM_KalmanUpdate);

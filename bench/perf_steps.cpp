@@ -14,6 +14,10 @@
 ///   units10k  the same at 10000 units — the structure-of-arrays layout's
 ///             home turf, where per-unit pointer chasing would dominate.
 ///
+/// pair20 and units1k report the fastest of kPasses identical passes (one
+/// cold pass moves 15-35 % from run to run); units10k runs one pass, since
+/// its fleet realization alone peaks at ~2.6 GB.
+///
 /// Results land in BENCH_steps.json (override with DPS_BENCH_JSON); the
 /// headline "serial_steps_per_s" is the dps pair20 rate, which CI gates
 /// with DPS_PERF_MIN_STEPS_PER_S. Knobs:
@@ -58,6 +62,20 @@ struct Scenario {
     return wall_s > 0.0 ? static_cast<double>(unit_steps) / wall_s : 0.0;
   }
 };
+
+/// Passes per pair20 and units1k scenario; the fastest one is reported.
+constexpr int kPasses = 3;
+
+/// The fastest of `passes` runs of `pass` (identical work each time).
+template <class Pass>
+Scenario fastest_of(int passes, Pass pass) {
+  Scenario best = pass();
+  for (int i = 1; i < passes; ++i) {
+    Scenario s = pass();
+    if (s.wall_s < best.wall_s) best = s;
+  }
+  return best;
+}
 
 std::unique_ptr<PowerManager> manager_by_name(const std::string& name) {
   if (name == "constant") return std::make_unique<ConstantManager>();
@@ -171,14 +189,16 @@ int main() {
 
   std::printf(
       "perf_steps: single-thread engine microbench, repeats=%d, "
-      "synthetic rounds=%d.\n\n",
-      repeats, rounds);
+      "synthetic rounds=%d, fastest of %d passes (units10k: 1).\n\n",
+      repeats, rounds, kPasses);
 
   std::vector<Scenario> scenarios;
   for (const std::string manager : {"constant", "slurm", "dps"}) {
-    scenarios.push_back(run_pair20(manager, repeats, seed));
+    scenarios.push_back(fastest_of(
+        kPasses, [&] { return run_pair20(manager, repeats, seed); }));
   }
-  scenarios.push_back(run_synthetic("units1k", 1000, rounds, seed));
+  scenarios.push_back(fastest_of(
+      kPasses, [&] { return run_synthetic("units1k", 1000, rounds, seed); }));
   scenarios.push_back(run_synthetic("units10k", 10000, rounds, seed));
 
   CsvWriter csv(dps::bench::out_dir() + "/perf_steps.csv");
@@ -205,9 +225,11 @@ int main() {
 
   {
     std::ofstream json(json_path, std::ios::trunc);
-    json << "{\n  \"bench\": \"perf_steps\",\n  \"schema_version\": 1,\n"
+    json << "{\n  \"bench\": \"perf_steps\",\n  \"schema_version\": 2,\n"
          << "  \"repeats\": " << repeats << ",\n  \"rounds\": " << rounds
-         << ",\n  \"scenarios\": [\n";
+         << ",\n  \"passes\": {\"pair20\": " << kPasses
+         << ", \"units1k\": " << kPasses << ", \"units10k\": 1},\n"
+         << "  \"scenarios\": [\n";
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
       const auto& s = scenarios[i];
       char buf[512];

@@ -77,9 +77,9 @@ int main(int argc, char** argv) {
     {
       std::lock_guard lock(sim_mutex);
       std::vector<Watts> effective(kUnits);
-      for (int u = 0; u < kUnits; ++u) effective[u] = rapl.effective_cap(u);
+      rapl.effective_caps_batch(effective);
       cluster.step(1.0, effective, true_power);
-      for (int u = 0; u < kUnits; ++u) rapl.record(u, true_power[u], 1.0);
+      rapl.record_batch(true_power, 1.0);
       rapl.advance_step();
     }
     total_decide_ns += server.run_round(dps);

@@ -23,9 +23,10 @@ FileConfig file_config_from_ini(const IniFile& ini) {
   // `enabled` defaults to true once the [thermal] section is listed.
   config.thermal_enabled = true;
   read_sections(ini, ini_sections(config));
-  read_section(ini, ini_section(config.stateless));
   config.thermal_enabled = config.thermal_enabled && ini.has_section("thermal");
   ini.blame_lines([&] {
+    validate(config.dps);
+    validate(config.dps.mimd);
     validate(config.faults);
     validate(config.thermal);
     obs::validate(config.obs);

@@ -16,7 +16,8 @@ namespace dps {
 
 /// Everything a DPS INI file (configs/dps.ini) configures, each field
 /// starting from its built-in defaults. exp and dpsd load `--config`
-/// through file_config_from_ini, and each uses the sections it needs.
+/// through file_config_from_ini, and each uses the sections it needs. The
+/// SLURM baseline is not configured here: it runs the plugin's defaults.
 struct FileConfig {
   DpsConfig dps;                    // [dps]; [stateless] fills dps.mimd
   FaultPlanConfig faults;           // [faults]
@@ -26,9 +27,6 @@ struct FileConfig {
   sched::JobScheduleConfig sched;   // [sched]
   NetConfig net;                    // [net]
   CtrlConfig ctrl;                  // [ctrl]
-  /// [stateless] over the SLURM plugin's defaults: the tuned SLURM
-  /// baseline exp compares against.
-  MimdConfig stateless = slurm_plugin_defaults();
 };
 
 /// The eight sections a DPS INI file may contain, bound to `config`.

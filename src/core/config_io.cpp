@@ -2,6 +2,19 @@
 
 namespace dps {
 
+void validate(const DpsConfig& c) {
+  auto fail = [](const char* key, const char* what) {
+    throw ConfigError("dps", key, what);
+  };
+  if (c.history_length < 3) fail("history_length", "must be >= 3");
+  if (!(c.kf_process_variance >= 0.0)) {
+    fail("kf_process_variance", "must be >= 0");
+  }
+  if (!(c.kf_measurement_variance >= 0.0)) {
+    fail("kf_measurement_variance", "must be >= 0");
+  }
+}
+
 IniSection ini_section(DpsConfig& c) {
   return {"dps",
           {{"history_length", c.history_length},

@@ -9,8 +9,9 @@ namespace dps {
 /// paper artifact's src/DPS/config.py. configs/dps.ini lists every key.
 IniSection ini_section(DpsConfig& config);
 
-/// The [stateless] section: Algorithm 1's knobs, read both into DPS's
-/// internal MIMD instance and into the SLURM baseline.
+/// The [stateless] section: Algorithm 1's knobs of DPS's internal MIMD
+/// instance (DpsConfig::mimd). The SLURM baseline keeps the plugin's
+/// defaults (slurm_plugin_defaults).
 IniSection ini_section(MimdConfig& config);
 
 }  // namespace dps

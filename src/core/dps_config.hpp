@@ -100,4 +100,9 @@ struct DpsConfig {
   bool favor_low_caps = true;
 };
 
+/// Throws ConfigError naming the offending [dps] key unless
+/// history_length >= 3 and both Kalman variances are >= 0. The [stateless]
+/// part, `mimd`, has its own validate.
+void validate(const DpsConfig& config);
+
 }  // namespace dps

@@ -5,14 +5,10 @@
 namespace dps {
 
 EstimatedPowerHistory::EstimatedPowerHistory(const DpsConfig& config)
-    : config_(config),
+    // Validated before a window is sized from it.
+    : config_((validate(config), config)),
       filters_(config.kf_process_variance, config.kf_measurement_variance),
-      durations_(config.history_length < 3 ? 3 : config.history_length) {
-  if (config_.history_length < 3) {
-    throw std::invalid_argument(
-        "EstimatedPowerHistory: history_length must be >= 3");
-  }
-}
+      durations_(config.history_length) {}
 
 void EstimatedPowerHistory::reset(int num_units) {
   filters_.reset(static_cast<std::size_t>(num_units));

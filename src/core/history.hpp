@@ -16,9 +16,8 @@ namespace dps {
 /// parallel window of step durations (Algorithm 2's duration_history, used
 /// by the average-derivative estimate).
 ///
-/// The filters live in a KalmanBank (structure-of-arrays), so the per-step
-/// predict/update is one contiguous pass; its estimates and checkpoint
-/// bytes are identical to the former std::vector<Kalman1D>.
+/// The filters live in one KalmanBank (structure-of-arrays), so the
+/// per-step predict/update is one contiguous pass.
 class EstimatedPowerHistory {
  public:
   explicit EstimatedPowerHistory(const DpsConfig& config);

@@ -1,7 +1,6 @@
 #include "faults/faulty_power.hpp"
 
 #include <cmath>
-#include <stdexcept>
 
 namespace dps {
 
@@ -13,48 +12,35 @@ FaultyPowerInterface::FaultyPowerInterface(PowerInterface& inner,
       garbage_(garbage_seed),
       last_good_(static_cast<std::size_t>(inner.num_units()), 0.0) {}
 
-Watts FaultyPowerInterface::read_power(int unit) {
-  if (injector_.crashed(unit)) return 0.0;
-  if (injector_.sensor_dropout(unit)) {
-    return last_good_[static_cast<std::size_t>(unit)];
-  }
-  if (injector_.sensor_garbage(unit)) {
-    // Deliberately *not* stored in last_good_: when the fault clears the
-    // dropout fallback must not replay garbage.
-    return garbage_.uniform(0.0, 2.0 * inner_.tdp());
-  }
-  const Watts value = inner_.read_power(unit);
-  if (!std::isfinite(value) || value < 0.0) {
-    return last_good_[static_cast<std::size_t>(unit)];
-  }
-  last_good_[static_cast<std::size_t>(unit)] = value;
+Watts FaultyPowerInterface::guarded(std::size_t unit, Watts value) {
+  if (!std::isfinite(value) || value < 0.0) return last_good_[unit];
+  last_good_[unit] = value;
   return value;
 }
 
-void FaultyPowerInterface::read_power_batch(std::span<Watts> out) {
-  const std::size_t n = last_good_.size();
-  if (out.size() != n) {
-    throw std::invalid_argument("read_power_batch: span size mismatch");
-  }
+void FaultyPowerInterface::read_power_range(int first, std::span<Watts> out) {
+  check_range(first, out.size());
+  const auto base = static_cast<std::size_t>(first);
   if (!injector_.any_active()) {
-    // No fault can reroute a read, so the inner batch consumes its noise
-    // stream in exactly the order per-unit reads would; only the
-    // NaN/negative guard remains.
-    inner_.read_power_batch(out);
-    for (std::size_t u = 0; u < n; ++u) {
-      const Watts value = out[u];
-      if (!std::isfinite(value) || value < 0.0) {
-        out[u] = last_good_[u];
-      } else {
-        last_good_[u] = value;
-      }
+    inner_.read_power_range(first, out);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      out[i] = guarded(base + i, out[i]);
     }
     return;
   }
-  // Faults active: per-unit routing decides whether the inner interface
-  // (and its noise stream) is consulted at all, so it must stay per-unit.
-  for (std::size_t u = 0; u < n; ++u) {
-    out[u] = read_power(static_cast<int>(u));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const int unit = first + static_cast<int>(i);
+    if (injector_.crashed(unit)) {
+      out[i] = 0.0;
+    } else if (injector_.sensor_dropout(unit)) {
+      out[i] = last_good_[base + i];
+    } else if (injector_.sensor_garbage(unit)) {
+      // Deliberately *not* stored in last_good_: when the fault clears the
+      // dropout fallback must not replay garbage.
+      out[i] = garbage_.uniform(0.0, 2.0 * inner_.tdp());
+    } else {
+      out[i] = guarded(base + i, inner_.read_power(unit));
+    }
   }
 }
 
@@ -64,29 +50,24 @@ void FaultyPowerInterface::set_obs(const obs::ObsSink& sink) {
       "cap_drops_total", "set_cap requests swallowed by active faults");
 }
 
-void FaultyPowerInterface::set_cap(int unit, Watts cap) {
-  if (injector_.cap_stuck(unit) || injector_.crashed(unit)) {
-    ++dropped_cap_writes_;
-    if (obs_cap_drops_ != nullptr) {
-      obs_cap_drops_->add();
-      obs_.event(obs::EventKind::kCapDrop, unit, cap);
-    }
-    return;
-  }
-  inner_.set_cap(unit, cap);
-}
-
-void FaultyPowerInterface::set_cap_batch(std::span<const Watts> caps) {
-  const std::size_t n = last_good_.size();
-  if (caps.size() != n) {
-    throw std::invalid_argument("set_cap_batch: span size mismatch");
-  }
+void FaultyPowerInterface::set_cap_range(int first,
+                                         std::span<const Watts> caps) {
+  check_range(first, caps.size());
   if (!injector_.any_active()) {
-    inner_.set_cap_batch(caps);
+    inner_.set_cap_range(first, caps);
     return;
   }
-  for (std::size_t u = 0; u < n; ++u) {
-    set_cap(static_cast<int>(u), caps[u]);
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    const int unit = first + static_cast<int>(i);
+    if (injector_.cap_stuck(unit) || injector_.crashed(unit)) {
+      ++dropped_cap_writes_;
+      if (obs_cap_drops_ != nullptr) {
+        obs_cap_drops_->add();
+        obs_.event(obs::EventKind::kCapDrop, unit, caps[i]);
+      }
+    } else {
+      inner_.set_cap(unit, caps[i]);
+    }
   }
 }
 

@@ -31,18 +31,16 @@ class FaultyPowerInterface final : public PowerInterface {
                        std::uint64_t garbage_seed = 0xbadc0de5ULL);
 
   int num_units() const override { return inner_.num_units(); }
-  Watts read_power(int unit) override;
-  void set_cap(int unit, Watts cap) override;
   Watts cap(int unit) const override { return inner_.cap(unit); }
   Watts tdp() const override { return inner_.tdp(); }
   Watts min_cap() const override { return inner_.min_cap(); }
-  /// Batched overrides. With no fault active (the common case) they
-  /// delegate straight to the inner interface's batch path and apply only
-  /// the NaN/negative guard; with any fault active they fall back to the
-  /// exact per-unit fault logic. Either way the read values, RNG draws,
-  /// and drop bookkeeping are bit-identical to per-unit calls.
-  void read_power_batch(std::span<Watts> out) override;
-  void set_cap_batch(std::span<const Watts> caps) override;
+  /// With no fault active (the common case) a range passes straight to
+  /// the inner interface, reads keeping only the NaN/negative guard; with
+  /// any fault active each unit is routed on its own, since a fault decides
+  /// whether the inner interface (and its noise stream) is consulted at
+  /// all. Either way a range equals the same units read or set one by one.
+  void read_power_range(int first, std::span<Watts> out) override;
+  void set_cap_range(int first, std::span<const Watts> caps) override;
 
   /// set_cap requests swallowed by active faults so far (telemetry for
   /// tests and the resilience report).
@@ -54,6 +52,10 @@ class FaultyPowerInterface final : public PowerInterface {
   void set_obs(const obs::ObsSink& sink);
 
  private:
+  /// `value` if finite and non-negative (remembered as the unit's last
+  /// good reading), else that last good reading.
+  Watts guarded(std::size_t unit, Watts value);
+
   PowerInterface& inner_;
   const FaultInjector& injector_;
   Rng garbage_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/ini.hpp"
+
 namespace dps {
 
 MimdConfig slurm_plugin_defaults() {
@@ -17,18 +19,26 @@ MimdConfig slurm_plugin_defaults() {
   return config;
 }
 
+void validate(const MimdConfig& c) {
+  auto fail = [](const char* key, const char* what) {
+    throw ConfigError("stateless", key, what);
+  };
+  if (!(c.inc_threshold > c.dec_threshold)) {
+    fail("inc_threshold", "must be > dec_threshold");
+  }
+  if (!(c.inc_percentile > 1.0)) fail("inc_percentile", "must be > 1");
+  if (!(c.dec_percentile > 0.0 && c.dec_percentile < 1.0)) {
+    fail("dec_percentile", "must be in (0, 1)");
+  }
+  if (c.decision_interval_steps < 1) {
+    fail("decision_interval_steps", "must be >= 1");
+  }
+  if (c.dec_window_steps < 1) fail("dec_window_steps", "must be >= 1");
+}
+
 MimdController::MimdController(const MimdConfig& config)
     : config_(config), rng_(config.shuffle_seed) {
-  if (config_.inc_threshold <= config_.dec_threshold) {
-    throw std::invalid_argument("MimdConfig: inc_threshold must exceed dec");
-  }
-  if (config_.inc_percentile <= 1.0 || config_.dec_percentile >= 1.0 ||
-      config_.dec_percentile <= 0.0) {
-    throw std::invalid_argument("MimdConfig: bad percentiles");
-  }
-  if (config_.decision_interval_steps < 1 || config_.dec_window_steps < 1) {
-    throw std::invalid_argument("MimdConfig: intervals must be >= 1");
-  }
+  validate(config_);
 }
 
 void MimdController::reset(const ManagerContext& ctx) {

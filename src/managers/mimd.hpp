@@ -58,6 +58,11 @@ struct MimdConfig {
 /// headroom a gradual decrease leaves).
 MimdConfig slurm_plugin_defaults();
 
+/// Throws ConfigError naming the offending [stateless] key unless
+/// inc_threshold > dec_threshold, inc_percentile > 1,
+/// 0 < dec_percentile < 1 and both step counts are >= 1.
+void validate(const MimdConfig& config);
+
 /// The stateless MIMD controller of Algorithm 1. Decreases first (freeing
 /// budget from units drawing below their caps), then walks the units in a
 /// fresh random order granting increases from the freed budget, so no unit

@@ -24,10 +24,11 @@ Watts PowerAgent::observe(Watts measured_power) {
   last_power_ = measured_power;
   double estimate = measured_power;
   if (first_observation_) {
-    filter_.reset(measured_power, config_.kf_measurement_variance);
+    filter_.reset(1, measured_power, config_.kf_measurement_variance);
     first_observation_ = false;
   } else {
-    estimate = filter_.update(measured_power);
+    filter_.update({&measured_power, 1});
+    estimate = filter_.estimate(0);
   }
   history_.push(estimate);
   durations_.push(1.0);

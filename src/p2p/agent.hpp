@@ -64,7 +64,7 @@ class PowerAgent {
   Watts min_cap_;
   Watts tdp_;
   P2pConfig config_;
-  Kalman1D filter_;
+  KalmanBank filter_;  // a bank of one
   RollingWindow history_;
   RollingWindow durations_;
   Watts last_power_ = 0.0;

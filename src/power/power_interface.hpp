@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <stdexcept>
 
@@ -25,14 +25,6 @@ class PowerInterface {
   /// Number of independently cappable units (sockets in the paper's setup).
   virtual int num_units() const = 0;
 
-  /// Average power of `unit` over the window since the previous read of
-  /// that unit, in watts. May include measurement noise.
-  virtual Watts read_power(int unit) = 0;
-
-  /// Requests a new power cap for `unit`. Implementations clamp to
-  /// [min_cap(), tdp()] and may apply the cap with actuation latency.
-  virtual void set_cap(int unit, Watts cap) = 0;
-
   /// The most recently requested (clamped) cap for `unit`.
   virtual Watts cap(int unit) const = 0;
 
@@ -43,34 +35,34 @@ class PowerInterface {
   /// minimum operating power).
   virtual Watts min_cap() const = 0;
 
-  // --- Batched telemetry (the engine's hot path) ---
-  //
-  // Contract: each batch call is exactly equivalent to the per-unit loop
-  // of its default implementation — same values, same side effects, in
-  // ascending unit order. Implementations that keep per-unit state in
-  // contiguous arrays override these with tight single passes; anything
-  // stateful (measurement-noise RNG streams, fault draws, observability
-  // counters) MUST consume in the same order the default loop would, so
-  // batch and per-unit paths stay bit-identical.
+  /// Average power of units first, first+1, ... (one per slot of `out`,
+  /// ascending) over the window since each unit's previous read, in watts.
+  /// May include measurement noise. Throws std::out_of_range when the
+  /// range leaves [0, num_units()).
+  virtual void read_power_range(int first, std::span<Watts> out) = 0;
 
-  /// Reads every unit's power into `out` (size must be num_units()), unit
-  /// 0 first. Equivalent to calling read_power(u) for u = 0..n-1.
-  virtual void read_power_batch(std::span<Watts> out) {
-    const int n = num_units();
-    if (out.size() != static_cast<std::size_t>(n)) {
-      throw std::invalid_argument("read_power_batch: span size mismatch");
-    }
-    for (int u = 0; u < n; ++u) out[static_cast<std::size_t>(u)] = read_power(u);
+  /// Requests caps[i] for unit first+i, ascending. Implementations clamp
+  /// to [min_cap(), tdp()] and may apply a cap with actuation latency.
+  virtual void set_cap_range(int first, std::span<const Watts> caps) = 0;
+
+  // One unit, or units 0..span.size()-1: every unit for a span of
+  // num_units() slots.
+  Watts read_power(int unit) {
+    Watts power;
+    read_power_range(unit, {&power, 1});
+    return power;
   }
+  void set_cap(int unit, Watts cap) { set_cap_range(unit, {&cap, 1}); }
+  void read_power_batch(std::span<Watts> out) { read_power_range(0, out); }
+  void set_cap_batch(std::span<const Watts> caps) { set_cap_range(0, caps); }
 
-  /// Requests a new cap for every unit (size must be num_units()), unit 0
-  /// first. Equivalent to calling set_cap(u, caps[u]) for u = 0..n-1.
-  virtual void set_cap_batch(std::span<const Watts> caps) {
-    const int n = num_units();
-    if (caps.size() != static_cast<std::size_t>(n)) {
-      throw std::invalid_argument("set_cap_batch: span size mismatch");
+ protected:
+  /// Throws std::out_of_range unless units [first, first + count) exist.
+  void check_range(int first, std::size_t count) const {
+    if (first < 0 || static_cast<std::size_t>(first) + count >
+                         static_cast<std::size_t>(num_units())) {
+      throw std::out_of_range("PowerInterface: unit range out of bounds");
     }
-    for (int u = 0; u < n; ++u) set_cap(u, caps[static_cast<std::size_t>(u)]);
   }
 };
 

@@ -21,13 +21,6 @@ SimulatedRapl::SimulatedRapl(int num_units, const RaplSimConfig& config)
   }
 }
 
-void SimulatedRapl::record(int unit, Watts true_power, Seconds dt) {
-  auto& u = units_.at(static_cast<std::size_t>(unit));
-  const Joules joules = std::max(0.0, true_power) * dt;
-  u.energy_units += static_cast<std::uint64_t>(joules / config_.energy_unit);
-  u.window_elapsed += dt;
-}
-
 void SimulatedRapl::record_batch(std::span<const Watts> true_power,
                                  Seconds dt) {
   if (true_power.size() != units_.size()) {
@@ -36,9 +29,7 @@ void SimulatedRapl::record_batch(std::span<const Watts> true_power,
   for (std::size_t i = 0; i < units_.size(); ++i) {
     auto& u = units_[i];
     const Joules joules = std::max(0.0, true_power[i]) * dt;
-    // Same quantization as record(): joules / energy_unit, truncated.
-    u.energy_units +=
-        static_cast<std::uint64_t>(joules / config_.energy_unit);
+    u.energy_units += static_cast<std::uint64_t>(joules / config_.energy_unit);
     u.window_elapsed += dt;
   }
 }
@@ -70,73 +61,56 @@ void SimulatedRapl::set_obs(const obs::ObsSink& sink) {
       "rapl_cap_changes_total", "set_cap calls that moved the requested cap");
 }
 
-Watts SimulatedRapl::read_power_unit(UnitState& u) {
-  if (u.window_elapsed <= 0.0) return u.last_power_reading;
+void SimulatedRapl::read_power_range(int first, std::span<Watts> out) {
+  check_range(first, out.size());
+  if (obs_reads_ != nullptr) obs_reads_->add(out.size());
+  UnitState* units = units_.data() + first;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    UnitState& u = units[i];
+    if (u.window_elapsed <= 0.0) {
+      out[i] = u.last_power_reading;
+      continue;
+    }
+    // Delta of the wrapped 32-bit counter; unsigned arithmetic handles one
+    // wrap per window, as real RAPL readers must.
+    const std::uint32_t now = static_cast<std::uint32_t>(u.energy_units);
+    const std::uint32_t delta = now - u.last_read_counter;
+    u.last_read_counter = now;
 
-  // Delta of the wrapped 32-bit counter; unsigned arithmetic handles one
-  // wrap per window, as real RAPL readers must.
-  const std::uint32_t now = static_cast<std::uint32_t>(u.energy_units);
-  const std::uint32_t delta = now - u.last_read_counter;
-  u.last_read_counter = now;
+    const Joules joules = static_cast<Joules>(delta) * config_.energy_unit;
+    Watts power = joules / u.window_elapsed;
+    u.window_elapsed = 0.0;
 
-  const Joules joules = static_cast<Joules>(delta) * config_.energy_unit;
-  Watts power = joules / u.window_elapsed;
-  u.window_elapsed = 0.0;
-
-  if (config_.noise_fraction > 0.0) {
-    power *= 1.0 + noise_.normal(0.0, config_.noise_fraction);
-    power = std::max(0.0, power);
-  }
-  u.last_power_reading = power;
-  return power;
-}
-
-Watts SimulatedRapl::read_power(int unit) {
-  if (obs_reads_ != nullptr) obs_reads_->add();
-  return read_power_unit(units_.at(static_cast<std::size_t>(unit)));
-}
-
-void SimulatedRapl::read_power_batch(std::span<Watts> out) {
-  if (out.size() != units_.size()) {
-    throw std::invalid_argument("read_power_batch: span size mismatch");
-  }
-  if (obs_reads_ != nullptr) obs_reads_->add(units_.size());
-  // Ascending unit order: the shared noise stream draws in exactly the
-  // order the per-unit loop would.
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    out[i] = read_power_unit(units_[i]);
+    if (config_.noise_fraction > 0.0) {
+      power *= 1.0 + noise_.normal(0.0, config_.noise_fraction);
+      power = std::max(0.0, power);
+    }
+    u.last_power_reading = power;
+    out[i] = power;
   }
 }
 
-void SimulatedRapl::set_cap_unit(UnitState& u, Watts cap) {
-  const Watts clamped = std::clamp(cap, config_.min_cap, config_.tdp);
-  if (obs_cap_requests_ != nullptr) {
-    obs_cap_requests_->add();
-    if (clamped != u.requested_cap) obs_cap_changes_->add();
-  }
-  u.requested_cap = clamped;
-  if (config_.actuation_delay_steps <= 0) {
-    u.effective_cap = clamped;
-    return;
-  }
-  // Model a fixed-depth actuation pipeline: the request lands at the back;
-  // advance_step() pops one entry per decision step.
-  u.pending_caps.resize(
-      static_cast<std::size_t>(config_.actuation_delay_steps),
-      u.pending_caps.empty() ? u.effective_cap : u.pending_caps.back());
-  u.pending_caps.back() = clamped;
-}
-
-void SimulatedRapl::set_cap(int unit, Watts cap) {
-  set_cap_unit(units_.at(static_cast<std::size_t>(unit)), cap);
-}
-
-void SimulatedRapl::set_cap_batch(std::span<const Watts> caps) {
-  if (caps.size() != units_.size()) {
-    throw std::invalid_argument("set_cap_batch: span size mismatch");
-  }
-  for (std::size_t i = 0; i < units_.size(); ++i) {
-    set_cap_unit(units_[i], caps[i]);
+void SimulatedRapl::set_cap_range(int first, std::span<const Watts> caps) {
+  check_range(first, caps.size());
+  UnitState* units = units_.data() + first;
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    UnitState& u = units[i];
+    const Watts clamped = std::clamp(caps[i], config_.min_cap, config_.tdp);
+    if (obs_cap_requests_ != nullptr) {
+      obs_cap_requests_->add();
+      if (clamped != u.requested_cap) obs_cap_changes_->add();
+    }
+    u.requested_cap = clamped;
+    if (config_.actuation_delay_steps <= 0) {
+      u.effective_cap = clamped;
+      continue;
+    }
+    // Model a fixed-depth actuation pipeline: the request lands at the
+    // back; advance_step() pops one entry per decision step.
+    u.pending_caps.resize(
+        static_cast<std::size_t>(config_.actuation_delay_steps),
+        u.pending_caps.empty() ? u.effective_cap : u.pending_caps.back());
+    u.pending_caps.back() = clamped;
   }
 }
 

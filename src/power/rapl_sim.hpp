@@ -33,7 +33,7 @@ struct RaplSimConfig {
 
 /// Simulated RAPL for a set of power-capping units. The simulation engine
 /// drives it: each timestep it accumulates every unit's true energy via
-/// record(); the power manager on top observes it only through the
+/// record_batch(); the power manager on top observes it only through the
 /// PowerInterface — quantized, wrapping energy counters plus gaussian
 /// reading noise, exactly the telemetry a real controller would get.
 class SimulatedRapl final : public PowerInterface {
@@ -42,14 +42,9 @@ class SimulatedRapl final : public PowerInterface {
 
   // --- Simulation-facing side (not visible through PowerInterface) ---
 
-  /// Accumulates `true_power * dt` joules of consumption for `unit` and
-  /// advances that unit's measurement window by `dt`. Also steps the cap
-  /// actuation pipeline once per full step (call advance_step() after all
-  /// units are recorded).
-  void record(int unit, Watts true_power, Seconds dt);
-
-  /// Batched record: one pass over all units (size must be num_units()),
-  /// equivalent to record(u, true_power[u], dt) for u = 0..n-1.
+  /// Accumulates `true_power[u] * dt` joules of consumption for every unit
+  /// u (size must be num_units()) and advances each unit's measurement
+  /// window by `dt`. Call advance_step() once per full step afterwards.
   void record_batch(std::span<const Watts> true_power, Seconds dt);
 
   /// Advances the cap actuation pipeline one decision step.
@@ -73,21 +68,15 @@ class SimulatedRapl final : public PowerInterface {
 
   // --- PowerInterface ---
   int num_units() const override { return static_cast<int>(units_.size()); }
-  Watts read_power(int unit) override;
-  void set_cap(int unit, Watts cap) override;
   Watts cap(int unit) const override;
   Watts tdp() const override { return config_.tdp; }
   Watts min_cap() const override { return config_.min_cap; }
-  // Tight single-pass overrides; bit-identical to the default per-unit
-  // loops (same noise-draw and counter order).
-  void read_power_batch(std::span<Watts> out) override;
-  void set_cap_batch(std::span<const Watts> caps) override;
+  /// Draws the reading noise from one shared stream in ascending unit
+  /// order, so reading a range of units equals reading them one by one.
+  void read_power_range(int first, std::span<Watts> out) override;
+  void set_cap_range(int first, std::span<const Watts> caps) override;
 
  private:
-  struct UnitState;
-  Watts read_power_unit(UnitState& u);
-  void set_cap_unit(UnitState& u, Watts cap);
-
   struct UnitState {
     std::uint64_t energy_units = 0;  // unwrapped accumulator, in energy units
     std::uint32_t last_read_counter = 0;

@@ -100,32 +100,38 @@ const std::string& SysfsRapl::domain_path(int unit) const {
   return domains_.at(static_cast<std::size_t>(unit)).path;
 }
 
-Watts SysfsRapl::read_power(int unit) {
-  auto& domain = domains_.at(static_cast<std::size_t>(unit));
-  const double now = clock_();
-  const double elapsed = now - domain.last_read_time;
-  if (elapsed <= 0.0) return domain.last_power;
-
-  const std::uint64_t energy = read_sysfs_u64(domain.path + "/energy_uj");
-  std::uint64_t delta;
-  if (energy >= domain.last_energy_uj) {
-    delta = energy - domain.last_energy_uj;
-  } else {
-    // Counter wrapped at max_energy_range_uj.
-    delta = energy + (domain.max_energy_range_uj - domain.last_energy_uj);
+void SysfsRapl::read_power_range(int first, std::span<Watts> out) {
+  check_range(first, out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    auto& domain = domains_[static_cast<std::size_t>(first) + i];
+    const double now = clock_();
+    const double elapsed = now - domain.last_read_time;
+    if (elapsed > 0.0) {
+      const std::uint64_t energy = read_sysfs_u64(domain.path + "/energy_uj");
+      std::uint64_t delta;
+      if (energy >= domain.last_energy_uj) {
+        delta = energy - domain.last_energy_uj;
+      } else {
+        // Counter wrapped at max_energy_range_uj.
+        delta = energy + (domain.max_energy_range_uj - domain.last_energy_uj);
+      }
+      domain.last_energy_uj = energy;
+      domain.last_read_time = now;
+      domain.last_power = static_cast<Watts>(delta) / 1e6 / elapsed;
+    }
+    out[i] = domain.last_power;
   }
-  domain.last_energy_uj = energy;
-  domain.last_read_time = now;
-  domain.last_power = static_cast<Watts>(delta) / 1e6 / elapsed;
-  return domain.last_power;
 }
 
-void SysfsRapl::set_cap(int unit, Watts cap) {
-  auto& domain = domains_.at(static_cast<std::size_t>(unit));
-  const Watts clamped = std::clamp(cap, min_cap_, tdp_);
-  write_sysfs_u64(domain.path + "/constraint_0_power_limit_uw",
-                  static_cast<std::uint64_t>(clamped * 1e6));
-  domain.requested_cap = clamped;
+void SysfsRapl::set_cap_range(int first, std::span<const Watts> caps) {
+  check_range(first, caps.size());
+  for (std::size_t i = 0; i < caps.size(); ++i) {
+    auto& domain = domains_[static_cast<std::size_t>(first) + i];
+    const Watts clamped = std::clamp(caps[i], min_cap_, tdp_);
+    write_sysfs_u64(domain.path + "/constraint_0_power_limit_uw",
+                    static_cast<std::uint64_t>(clamped * 1e6));
+    domain.requested_cap = clamped;
+  }
 }
 
 Watts SysfsRapl::cap(int unit) const {

@@ -35,11 +35,13 @@ class SysfsRapl final : public PowerInterface {
   int num_units() const override {
     return static_cast<int>(domains_.size());
   }
-  Watts read_power(int unit) override;
-  void set_cap(int unit, Watts cap) override;
   Watts cap(int unit) const override;
   Watts tdp() const override { return tdp_; }
   Watts min_cap() const override { return min_cap_; }
+  /// Touches only the domains in the range, so threads that each own one
+  /// unit may read and cap their units concurrently.
+  void read_power_range(int first, std::span<Watts> out) override;
+  void set_cap_range(int first, std::span<const Watts> caps) override;
 
   static constexpr const char* kDefaultRoot = "/sys/class/powercap";
 

@@ -5,55 +5,8 @@
 
 namespace dps {
 
-Kalman1D::Kalman1D(double process_variance, double measurement_variance,
-                   double initial_estimate, double initial_variance)
-    : q_(process_variance),
-      r_(measurement_variance),
-      x_(initial_estimate),
-      p_(initial_variance),
-      initial_variance_(initial_variance) {
-  if (q_ < 0.0 || r_ < 0.0) {
-    throw std::invalid_argument("Kalman1D: variances must be non-negative");
-  }
-}
-
-double Kalman1D::update(double measurement) {
-  // Predict: random walk keeps x, inflates uncertainty by Q.
-  p_ += q_;
-  // Update.
-  k_ = p_ / (p_ + r_);
-  x_ += k_ * (measurement - x_);
-  p_ *= (1.0 - k_);
-  return x_;
-}
-
-void Kalman1D::save(ByteWriter& out) const {
-  out.f64(x_);
-  out.f64(p_);
-  out.f64(k_);
-  out.f64(initial_variance_);
-}
-
-void Kalman1D::load(ByteReader& in) {
-  x_ = in.f64();
-  p_ = in.f64();
-  k_ = in.f64();
-  initial_variance_ = in.f64();
-}
-
-void Kalman1D::reset(double initial_estimate, double initial_variance) {
-  x_ = initial_estimate;
-  p_ = initial_variance;
-  initial_variance_ = initial_variance;
-  k_ = 0.0;
-}
-
 KalmanBank::KalmanBank(double process_variance, double measurement_variance)
-    : q_(process_variance), r_(measurement_variance) {
-  if (q_ < 0.0 || r_ < 0.0) {
-    throw std::invalid_argument("KalmanBank: variances must be non-negative");
-  }
-}
+    : q_(process_variance), r_(measurement_variance) {}
 
 void KalmanBank::reset(std::size_t n, double initial_estimate,
                        double initial_variance) {
@@ -79,9 +32,7 @@ void KalmanBank::update(std::span<const double> measurements) {
   if (measurements.size() != x_.size()) {
     throw std::invalid_argument("KalmanBank::update: size mismatch");
   }
-  // Same operations in the same order as Kalman1D::update, applied to
-  // each lane independently — estimates stay bit-identical to a loop of
-  // scalar filters.
+  // Predict: the random walk keeps x and inflates P by Q. Then update.
   const double q = q_;
   const double r = r_;
   const std::size_t n = x_.size();

@@ -8,68 +8,29 @@
 
 namespace dps {
 
-/// One-dimensional Kalman filter in the standard Welch & Bishop formulation
-/// (the paper's Section 4.3.2). DPS treats each unit's true power draw as a
-/// hidden variable observed through noisy RAPL measurements; this filter
-/// produces the estimate that is pushed into the per-unit power history.
+/// A bank of independent one-dimensional Kalman filters in the standard
+/// Welch & Bishop formulation (the paper's Section 4.3.2), sharing one
+/// (Q, R) configuration. DPS treats each unit's true power draw as a hidden
+/// variable observed through noisy RAPL measurements; filter i produces the
+/// estimate that is pushed into unit i's power history. The state is four
+/// contiguous arrays, so the per-step predict/update pass streams over
+/// flat memory; a single filter is a bank of one.
 ///
 /// Model: x_t = x_{t-1} + w  (random-walk process, w ~ N(0, Q))
 ///        z_t = x_t + v      (measurement,         v ~ N(0, R))
-class Kalman1D {
- public:
-  /// @param process_variance   Q — how much the hidden power is believed to
-  ///                           move between decision steps. Larger Q tracks
-  ///                           fast phase changes at the cost of noise.
-  /// @param measurement_variance R — variance of RAPL's reading noise.
-  /// @param initial_estimate   x_0.
-  /// @param initial_variance   P_0 — uncertainty of x_0; a large value makes
-  ///                           the first update trust the measurement.
-  Kalman1D(double process_variance, double measurement_variance,
-           double initial_estimate = 0.0, double initial_variance = 1e6);
-
-  /// One predict + update cycle; returns the posterior estimate.
-  double update(double measurement);
-
-  /// Current posterior estimate without consuming a measurement.
-  double estimate() const { return x_; }
-
-  /// Current posterior variance P.
-  double variance() const { return p_; }
-
-  /// Kalman gain used by the most recent update (0 before any update).
-  double last_gain() const { return k_; }
-
-  /// Resets the filter to a fresh initial state.
-  void reset(double initial_estimate = 0.0, double initial_variance = 1e6);
-
-  /// Checkpoint support: serializes / restores the posterior (x, P, K).
-  /// Q and R are configuration, not state — the restored filter keeps the
-  /// values it was constructed with.
-  void save(ByteWriter& out) const;
-  void load(ByteReader& in);
-
- private:
-  double q_;
-  double r_;
-  double x_;
-  double p_;
-  double k_ = 0.0;
-  double initial_variance_;
-};
-
-/// Structure-of-arrays bank of independent Kalman1D filters sharing one
-/// (Q, R) configuration — the per-unit filters of the estimated power
-/// history laid out as four contiguous arrays so the per-step
-/// predict/update pass streams over flat memory instead of an array of
-/// filter objects. The arithmetic (and therefore every estimate) and the
-/// checkpoint byte stream are exactly those of a std::vector<Kalman1D>
-/// updated and saved in ascending index order.
 class KalmanBank {
  public:
+  /// @param process_variance     Q — how much the hidden power is believed
+  ///                             to move between decision steps. Larger Q
+  ///                             tracks fast phase changes at the cost of
+  ///                             noise.
+  /// @param measurement_variance R — variance of RAPL's reading noise.
+  /// Both must be >= 0; validate(DpsConfig) checks DPS's values.
   KalmanBank(double process_variance, double measurement_variance);
 
   /// (Re-)sizes to `n` fresh filters (x = initial_estimate,
-  /// P = initial_variance, K = 0).
+  /// P = initial_variance, K = 0). A large initial variance makes the first
+  /// update trust the measurement.
   void reset(std::size_t n, double initial_estimate = 0.0,
              double initial_variance = 1e6);
 
@@ -88,8 +49,8 @@ class KalmanBank {
   double variance(std::size_t i) const { return p_[i]; }
   double last_gain(std::size_t i) const { return k_[i]; }
 
-  /// Checkpoint support, byte-compatible with a vector<Kalman1D> saved
-  /// filter-by-filter: per filter [x, P, K, initial_variance] as f64s.
+  /// Checkpoint support: per filter, in index order, [x, P, K,
+  /// initial_variance] as f64s. Q and R are configuration, not state.
   void save(ByteWriter& out) const;
   void load(ByteReader& in);
 

@@ -39,7 +39,7 @@ EngineResult SimulationEngine::run(Cluster& cluster, SimulatedRapl& rapl,
   // All managers start from the constant allocation, as on a freshly
   // configured system.
   std::vector<Watts> caps(static_cast<std::size_t>(n), ctx.constant_cap());
-  for (int u = 0; u < n; ++u) rapl.set_cap(u, caps[u]);
+  rapl.set_cap_batch(caps);
 
   std::vector<Watts> measured(static_cast<std::size_t>(n), 0.0);
   std::vector<Watts> true_power(static_cast<std::size_t>(n), 0.0);

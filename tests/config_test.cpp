@@ -39,7 +39,7 @@ void expect_error(const std::string& text, const std::string& section,
       << what;
 }
 
-/// Every field of the eight sections equal, plus the SLURM baseline.
+/// Every field of the eight sections equal.
 void expect_same(FileConfig a, FileConfig b) {
   const auto sa = ini_sections(a);
   const auto sb = ini_sections(b);
@@ -48,11 +48,7 @@ void expect_same(FileConfig a, FileConfig b) {
     EXPECT_TRUE(same_values(sa[i], sb[i]))
         << write_section(sa[i]) << "vs\n" << write_section(sb[i]);
   }
-  EXPECT_TRUE(same_values(ini_section(a.stateless), ini_section(b.stateless)))
-      << write_section(ini_section(a.stateless)) << "vs\n"
-      << write_section(ini_section(b.stateless));
   EXPECT_EQ(a.dps.mimd.shuffle_seed, b.dps.mimd.shuffle_seed);
-  EXPECT_EQ(a.stateless.shuffle_seed, b.stateless.shuffle_seed);
 }
 
 TEST(Ini, ParsesSectionsKeysAndComments) {
@@ -200,6 +196,11 @@ TEST(ConfigErrors, RangeChecksBlameTheKeyLine) {
                3);
   expect_error("[obs]\nenabled = true\nevents_capacity = 0\n", "obs",
                "events_capacity", 3);
+  expect_error("[stateless]\ninc_threshold = 0.5\n", "stateless",
+               "inc_threshold", 2);
+  expect_error("[dps]\n\nhistory_length = 2\n", "dps", "history_length", 3);
+  expect_error("[dps]\nkf_measurement_variance = -4\n", "dps",
+               "kf_measurement_variance", 2);
   // A flag path validates the same struct without a file: no line.
   NetConfig net;
   net.reconnect_max_attempts = 0;
@@ -216,11 +217,9 @@ TEST(ConfigErrors, RangeChecksBlameTheKeyLine) {
 
 TEST(FileConfig, ShippedConfigsLoadFieldForField) {
   // configs/dps.ini spells out the defaults, except for the fault drill
-  // seed; its [stateless] section, listed in full, also sets the SLURM
-  // baseline to DPS's MIMD values.
+  // seed.
   FileConfig dps_ini;
   dps_ini.faults.seed = 4242;
-  dps_ini.stateless = DpsConfig{}.mimd;
   expect_same(load_file_config(std::string(DPS_SOURCE_DIR) +
                                "/configs/dps.ini"),
               dps_ini);
@@ -303,8 +302,8 @@ TEST(ConfigIo, NoisySensorVariantLoadsCleanly) {
 }
 
 TEST(ConfigIo, MimdBaseIsPreserved) {
-  const auto base = slurm_plugin_defaults();
-  const auto config = load("[stateless]\ninc_percentile = 1.3\n").stateless;
+  const auto base = DpsConfig{}.mimd;
+  const auto config = load("[stateless]\ninc_percentile = 1.3\n").dps.mimd;
   EXPECT_DOUBLE_EQ(config.inc_percentile, 1.3);
   EXPECT_EQ(config.dec_window_steps, base.dec_window_steps);
   EXPECT_DOUBLE_EQ(config.dec_percentile, base.dec_percentile);

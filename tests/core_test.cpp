@@ -113,7 +113,7 @@ TEST(History, RejectsMismatchedObservation) {
 TEST(History, RejectsTinyHistoryLength) {
   DpsConfig config;
   config.history_length = 2;
-  EXPECT_THROW(EstimatedPowerHistory{config}, std::invalid_argument);
+  EXPECT_THROW(EstimatedPowerHistory{config}, ConfigError);
 }
 
 // --- Priority module ---

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
 #include <numeric>
@@ -155,8 +156,9 @@ struct FaultyRig {
         injector(plan, 2),
         faulty(rapl, injector) {}
 
-  void feed(int unit, Watts power, Seconds dt = 1.0) {
-    rapl.record(unit, power, dt);
+  /// Both units draw `power` for one step.
+  void feed(Watts power, Seconds dt = 1.0) {
+    rapl.record_batch(std::array{power, power}, dt);
     rapl.advance_step();
   }
 
@@ -169,18 +171,18 @@ TEST(FaultyPower, DropoutReturnsStaleValue) {
   FaultyRig rig(FaultPlan(
       {FaultEvent{2.0, 10.0, 0, FaultKind::kSensorDropout, 1.0}}, 2));
   rig.injector.advance(1.0);
-  rig.feed(0, 100.0);
+  rig.feed(100.0);
   const Watts before = rig.faulty.read_power(0);
   EXPECT_NEAR(before, 100.0, 0.1);
 
   rig.injector.advance(2.0);
-  rig.feed(0, 55.0);
+  rig.feed(55.0);
   EXPECT_DOUBLE_EQ(rig.faulty.read_power(0), before);  // stale
-  rig.feed(0, 77.0);
+  rig.feed(77.0);
   EXPECT_DOUBLE_EQ(rig.faulty.read_power(0), before);  // still stale
 
   rig.injector.advance(20.0);  // cleared: next reading is live again
-  rig.feed(0, 60.0);
+  rig.feed(60.0);
   EXPECT_GT(rig.faulty.read_power(0), 50.0);
 }
 
@@ -190,8 +192,7 @@ TEST(FaultyPower, GarbageIsBoundedAndCrashReadsZero) {
        FaultEvent{0.0, 10.0, 1, FaultKind::kUnitCrash, 1.0}},
       2));
   rig.injector.advance(0.0);
-  rig.feed(0, 90.0);
-  rig.feed(1, 90.0);
+  rig.feed(90.0);
   for (int i = 0; i < 50; ++i) {
     const Watts garbage = rig.faulty.read_power(0);
     EXPECT_GE(garbage, 0.0);
@@ -223,13 +224,13 @@ TEST(FaultyPower, GuardsNonFiniteReadings) {
   // A hostile inner interface returning NaN/negative must never leak it.
   struct HostileInterface final : PowerInterface {
     int num_units() const override { return 1; }
-    Watts read_power(int) override {
-      ++calls;
-      if (calls == 1) return 80.0;
-      if (calls == 2) return std::nan("");
-      return -5.0;
+    void read_power_range(int, std::span<Watts> out) override {
+      for (Watts& power : out) {
+        ++calls;
+        power = calls == 1 ? 80.0 : calls == 2 ? std::nan("") : -5.0;
+      }
     }
-    void set_cap(int, Watts) override {}
+    void set_cap_range(int, std::span<const Watts>) override {}
     Watts cap(int) const override { return 165.0; }
     Watts tdp() const override { return 165.0; }
     Watts min_cap() const override { return 40.0; }

@@ -8,6 +8,7 @@
 #include "managers/mimd.hpp"
 #include "managers/oracle.hpp"
 #include "managers/slurm_stateless.hpp"
+#include "util/ini.hpp"
 
 namespace dps {
 namespace {
@@ -153,13 +154,13 @@ TEST(Mimd, RejectsDegenerateConfig) {
   MimdConfig bad;
   bad.inc_threshold = 0.5;
   bad.dec_threshold = 0.9;
-  EXPECT_THROW(MimdController{bad}, std::invalid_argument);
+  EXPECT_THROW(MimdController{bad}, ConfigError);
   bad = MimdConfig{};
   bad.inc_percentile = 0.9;
-  EXPECT_THROW(MimdController{bad}, std::invalid_argument);
+  EXPECT_THROW(MimdController{bad}, ConfigError);
   bad = MimdConfig{};
   bad.dec_percentile = 1.1;
-  EXPECT_THROW(MimdController{bad}, std::invalid_argument);
+  EXPECT_THROW(MimdController{bad}, ConfigError);
 }
 
 MimdConfig plugin_params_fast() {

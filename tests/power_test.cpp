@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 #include "power/rapl_sim.hpp"
@@ -15,22 +16,22 @@ RaplSimConfig noiseless() {
 
 TEST(RaplSim, ReportsAveragePowerOverWindow) {
   SimulatedRapl rapl(1, noiseless());
-  rapl.record(0, 100.0, 1.0);
-  rapl.record(0, 140.0, 1.0);
+  rapl.record_batch(std::array{100.0}, 1.0);
+  rapl.record_batch(std::array{140.0}, 1.0);
   EXPECT_NEAR(rapl.read_power(0), 120.0, 0.1);
 }
 
 TEST(RaplSim, WindowResetsAfterRead) {
   SimulatedRapl rapl(1, noiseless());
-  rapl.record(0, 100.0, 1.0);
+  rapl.record_batch(std::array{100.0}, 1.0);
   EXPECT_NEAR(rapl.read_power(0), 100.0, 0.1);
-  rapl.record(0, 60.0, 1.0);
+  rapl.record_batch(std::array{60.0}, 1.0);
   EXPECT_NEAR(rapl.read_power(0), 60.0, 0.1);
 }
 
 TEST(RaplSim, ReadWithoutNewWindowRepeatsLastReading) {
   SimulatedRapl rapl(1, noiseless());
-  rapl.record(0, 80.0, 1.0);
+  rapl.record_batch(std::array{80.0}, 1.0);
   const Watts first = rapl.read_power(0);
   EXPECT_NEAR(rapl.read_power(0), first, 1e-9);
 }
@@ -39,7 +40,7 @@ TEST(RaplSim, EnergyResolutionQuantizesReadings) {
   RaplSimConfig config = noiseless();
   config.energy_unit = 1.0;  // absurdly coarse 1 J units
   SimulatedRapl rapl(1, config);
-  rapl.record(0, 0.4, 1.0);  // 0.4 J -> quantizes to 0
+  rapl.record_batch(std::array{0.4}, 1.0);  // 0.4 J -> quantizes to 0
   EXPECT_DOUBLE_EQ(rapl.read_power(0), 0.0);
 }
 
@@ -54,11 +55,11 @@ TEST(RaplSim, CounterWrapsAt32BitsWithoutCorruptingReadings) {
   Seconds remaining = total_joules / 160.0 - 2.0;
   while (remaining > 0.0) {
     const Seconds dt = std::min(remaining, 1000.0);
-    rapl.record(0, 160.0, dt);
+    rapl.record_batch(std::array{160.0}, dt);
     remaining -= dt;
   }
   (void)rapl.read_power(0);  // sync the reader right below the wrap
-  rapl.record(0, 160.0, 5.0);  // crosses the wrap boundary
+  rapl.record_batch(std::array{160.0}, 5.0);  // crosses the wrap boundary
   EXPECT_NEAR(rapl.read_power(0), 160.0, 0.5);
 }
 
@@ -66,7 +67,7 @@ TEST(RaplSim, RawCounterVisibleForTests) {
   RaplSimConfig config = noiseless();
   config.energy_unit = 0.5;
   SimulatedRapl rapl(1, config);
-  rapl.record(0, 100.0, 1.0);  // 100 J = 200 units
+  rapl.record_batch(std::array{100.0}, 1.0);  // 100 J = 200 units
   EXPECT_EQ(rapl.raw_energy_counter(0), 200u);
 }
 
@@ -119,7 +120,7 @@ TEST(RaplSim, NoiseIsZeroMeanish) {
   double sum = 0.0;
   const int n = 2000;
   for (int i = 0; i < n; ++i) {
-    rapl.record(0, 100.0, 1.0);
+    rapl.record_batch(std::array{100.0}, 1.0);
     sum += rapl.read_power(0);
   }
   EXPECT_NEAR(sum / n, 100.0, 0.5);
@@ -132,7 +133,7 @@ TEST(RaplSim, NoiseActuallyPerturbsReadings) {
   int distinct = 0;
   double prev = -1.0;
   for (int i = 0; i < 50; ++i) {
-    rapl.record(0, 100.0, 1.0);
+    rapl.record_batch(std::array{100.0}, 1.0);
     const double p = rapl.read_power(0);
     if (std::abs(p - prev) > 1e-9) ++distinct;
     prev = p;
@@ -149,8 +150,7 @@ TEST(RaplSim, RejectsInvalidConstruction) {
 
 TEST(RaplSim, PerUnitStateIsIndependent) {
   SimulatedRapl rapl(2, noiseless());
-  rapl.record(0, 50.0, 1.0);
-  rapl.record(1, 150.0, 1.0);
+  rapl.record_batch(std::array{50.0, 150.0}, 1.0);
   EXPECT_NEAR(rapl.read_power(0), 50.0, 0.1);
   EXPECT_NEAR(rapl.read_power(1), 150.0, 0.1);
   rapl.set_cap(0, 60.0);

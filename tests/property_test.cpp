@@ -100,13 +100,15 @@ class KalmanProperties : public testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(KalmanProperties, EstimateStaysWithinMeasurementEnvelope) {
   Rng rng(GetParam());
-  Kalman1D kf(4.0, 4.0, 100.0, 4.0);
+  KalmanBank kf(4.0, 4.0);
+  kf.reset(1, 100.0, 4.0);
   double lo = 100.0, hi = 100.0;
   for (int i = 0; i < 500; ++i) {
     const double measurement = rng.uniform(20.0, 165.0);
     lo = std::min(lo, measurement);
     hi = std::max(hi, measurement);
-    const double estimate = kf.update(measurement);
+    kf.update({&measurement, 1});
+    const double estimate = kf.estimate(0);
     // A convex-combination filter can never escape the hull of its initial
     // state and the measurements seen so far.
     EXPECT_GE(estimate, lo - 1e-9);
@@ -116,13 +118,18 @@ TEST_P(KalmanProperties, EstimateStaysWithinMeasurementEnvelope) {
 
 TEST_P(KalmanProperties, VarianceConvergesToFixedPoint) {
   Rng rng(GetParam());
-  Kalman1D kf(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0), 0.0, 1e6);
-  for (int i = 0; i < 300; ++i) kf.update(rng.uniform(0.0, 100.0));
-  const double p1 = kf.variance();
-  kf.update(50.0);
+  KalmanBank kf(rng.uniform(0.1, 10.0), rng.uniform(0.1, 10.0));
+  kf.reset(1, 0.0, 1e6);
+  for (int i = 0; i < 300; ++i) {
+    const double measurement = rng.uniform(0.0, 100.0);
+    kf.update({&measurement, 1});
+  }
+  const double p1 = kf.variance(0);
+  const double last = 50.0;
+  kf.update({&last, 1});
   // The posterior covariance of a time-invariant 1-D system reaches its
   // Riccati fixed point regardless of the measurements.
-  EXPECT_NEAR(kf.variance(), p1, 1e-6);
+  EXPECT_NEAR(kf.variance(0), p1, 1e-6);
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, KalmanProperties,

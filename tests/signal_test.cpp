@@ -3,37 +3,50 @@
 #include <cmath>
 #include <vector>
 
+#include "core/dps_config.hpp"
 #include "signal/kalman.hpp"
 #include "signal/peaks.hpp"
 #include "signal/rolling.hpp"
+#include "util/ini.hpp"
 #include "util/rng.hpp"
 
 namespace dps {
 namespace {
 
-// --- Kalman filter ---
+// --- Kalman filter (a bank of one) ---
+
+KalmanBank one_filter(double q, double r, double x0 = 0.0, double p0 = 1e6) {
+  KalmanBank kf(q, r);
+  kf.reset(1, x0, p0);
+  return kf;
+}
+
+double update(KalmanBank& kf, double measurement) {
+  kf.update({&measurement, 1});
+  return kf.estimate(0);
+}
 
 TEST(Kalman, ConvergesToConstantSignal) {
-  Kalman1D kf(0.01, 4.0, 0.0, 1e6);
+  KalmanBank kf = one_filter(0.01, 4.0, 0.0, 1e6);
   double estimate = 0.0;
-  for (int i = 0; i < 200; ++i) estimate = kf.update(100.0);
+  for (int i = 0; i < 200; ++i) estimate = update(kf, 100.0);
   EXPECT_NEAR(estimate, 100.0, 0.5);
 }
 
 TEST(Kalman, FirstUpdateTrustsMeasurementWithLargeInitialVariance) {
-  Kalman1D kf(1.0, 4.0, 0.0, 1e9);
-  EXPECT_NEAR(kf.update(150.0), 150.0, 0.01);
+  KalmanBank kf = one_filter(1.0, 4.0, 0.0, 1e9);
+  EXPECT_NEAR(update(kf, 150.0), 150.0, 0.01);
 }
 
 TEST(Kalman, SmoothsNoise) {
   Rng rng(42);
-  Kalman1D kf(0.5, 9.0, 100.0, 9.0);
+  KalmanBank kf = one_filter(0.5, 9.0, 100.0, 9.0);
   double sq_err_raw = 0.0, sq_err_filtered = 0.0;
   const int n = 5000;
   for (int i = 0; i < n; ++i) {
     const double truth = 100.0;
     const double measured = truth + rng.normal(0.0, 3.0);
-    const double est = kf.update(measured);
+    const double est = update(kf, measured);
     sq_err_raw += (measured - truth) * (measured - truth);
     sq_err_filtered += (est - truth) * (est - truth);
   }
@@ -41,11 +54,11 @@ TEST(Kalman, SmoothsNoise) {
 }
 
 TEST(Kalman, TracksStepChangeWithinReasonableLag) {
-  Kalman1D kf(4.0, 4.0, 50.0, 4.0);
-  for (int i = 0; i < 50; ++i) kf.update(50.0);
+  KalmanBank kf = one_filter(4.0, 4.0, 50.0, 4.0);
+  for (int i = 0; i < 50; ++i) update(kf, 50.0);
   int steps = 0;
-  while (kf.estimate() < 140.0 && steps < 100) {
-    kf.update(150.0);
+  while (kf.estimate(0) < 140.0 && steps < 100) {
+    update(kf, 150.0);
     ++steps;
   }
   // Q=R means gain ~0.62 steady state; a 100 W step closes in a few steps.
@@ -53,31 +66,35 @@ TEST(Kalman, TracksStepChangeWithinReasonableLag) {
 }
 
 TEST(Kalman, GainWithinUnitInterval) {
-  Kalman1D kf(2.0, 3.0);
+  KalmanBank kf = one_filter(2.0, 3.0);
   for (int i = 0; i < 20; ++i) {
-    kf.update(double(i));
-    EXPECT_GT(kf.last_gain(), 0.0);
-    EXPECT_LE(kf.last_gain(), 1.0);
+    update(kf, double(i));
+    EXPECT_GT(kf.last_gain(0), 0.0);
+    EXPECT_LE(kf.last_gain(0), 1.0);
   }
 }
 
 TEST(Kalman, VarianceShrinksFromInitial) {
-  Kalman1D kf(0.1, 4.0, 0.0, 1e6);
-  for (int i = 0; i < 10; ++i) kf.update(10.0);
-  EXPECT_LT(kf.variance(), 5.0);
+  KalmanBank kf = one_filter(0.1, 4.0, 0.0, 1e6);
+  for (int i = 0; i < 10; ++i) update(kf, 10.0);
+  EXPECT_LT(kf.variance(0), 5.0);
 }
 
 TEST(Kalman, ResetRestoresInitialState) {
-  Kalman1D kf(1.0, 1.0, 5.0, 10.0);
-  kf.update(50.0);
-  kf.reset(5.0, 10.0);
-  EXPECT_DOUBLE_EQ(kf.estimate(), 5.0);
-  EXPECT_DOUBLE_EQ(kf.variance(), 10.0);
+  KalmanBank kf = one_filter(1.0, 1.0, 5.0, 10.0);
+  update(kf, 50.0);
+  kf.reset(1, 5.0, 10.0);
+  EXPECT_DOUBLE_EQ(kf.estimate(0), 5.0);
+  EXPECT_DOUBLE_EQ(kf.variance(0), 10.0);
 }
 
 TEST(Kalman, RejectsNegativeVariances) {
-  EXPECT_THROW(Kalman1D(-1.0, 1.0), std::invalid_argument);
-  EXPECT_THROW(Kalman1D(1.0, -1.0), std::invalid_argument);
+  DpsConfig config;
+  config.kf_process_variance = -1.0;
+  EXPECT_THROW(validate(config), ConfigError);
+  config = DpsConfig{};
+  config.kf_measurement_variance = -1.0;
+  EXPECT_THROW(validate(config), ConfigError);
 }
 
 // --- Prominent peaks ---

@@ -1,19 +1,25 @@
 // Equivalence tests for the structure-of-arrays hot path: every batched
-// fast path (PowerInterface batch calls, KalmanBank, the fused peak
-// counter) must be *bit-identical* to the scalar code it replaced — the
+// path (PowerInterface unit ranges, KalmanBank, the fused peak counter)
+// must be *bit-identical* to the scalar reference it stands for — the
 // experiment CSVs are golden byte-for-byte, so "close enough" floating
 // point is a regression here. All comparisons below are exact (EXPECT_EQ
 // on doubles), never EXPECT_NEAR.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "core/checkpoint.hpp"
 #include "core/dps_config.hpp"
+#include "core/dps_manager.hpp"
 #include "core/history.hpp"
 #include "faults/fault_injector.hpp"
 #include "faults/faulty_power.hpp"
@@ -25,25 +31,6 @@
 
 namespace dps {
 namespace {
-
-// Hides every batch override of the wrapped interface: only the scalar
-// virtuals forward, so batch calls on the wrapper run PowerInterface's
-// *default* per-unit loops against the inner scalar methods. Driving one
-// of two identical stacks through this wrapper checks the documented
-// contract that each batch override is exactly the default loop.
-class ScalarOnlyPower final : public PowerInterface {
- public:
-  explicit ScalarOnlyPower(PowerInterface& inner) : inner_(inner) {}
-  int num_units() const override { return inner_.num_units(); }
-  Watts read_power(int unit) override { return inner_.read_power(unit); }
-  void set_cap(int unit, Watts cap) override { inner_.set_cap(unit, cap); }
-  Watts cap(int unit) const override { return inner_.cap(unit); }
-  Watts tdp() const override { return inner_.tdp(); }
-  Watts min_cap() const override { return inner_.min_cap(); }
-
- private:
-  PowerInterface& inner_;
-};
 
 // Deterministic per-step true power: varied enough to move the energy
 // counters and caps around, fully reproducible across the twin stacks.
@@ -57,30 +44,26 @@ Watts cap_request_of(int unit, int step, Watts min_cap, Watts tdp) {
 }
 
 // Drives two identically-seeded SimulatedRapl instances through the same
-// record/set/read sequence — `batched` through its native batch overrides
-// (optionally laundered through ScalarOnlyPower to exercise the interface
-// defaults instead), `scalar` through per-unit calls — and requires every
-// reading and cap to match bitwise.
-void expect_rapl_paths_identical(bool through_default_loops) {
+// record/set/read sequence — `batched` through one range of all units,
+// `scalar` through ranges of one unit each — and requires every reading
+// and cap to match bitwise: the shared noise stream must draw in the same
+// order either way.
+TEST(BatchEquivalence, SimulatedRaplOverridesMatchPerUnitCalls) {
   const int n = 6;
   const int steps = 60;
   RaplSimConfig config;  // defaults: 2% noise, seeded RNG
   SimulatedRapl batched(n, config);
   SimulatedRapl scalar(n, config);
-  ScalarOnlyPower defaults(batched);
-  PowerInterface& batch_face =
-      through_default_loops ? static_cast<PowerInterface&>(defaults)
-                            : static_cast<PowerInterface&>(batched);
 
   std::vector<Watts> truth(n), reads_a(n), reads_b(n), caps(n), eff(n);
   for (int step = 0; step < steps; ++step) {
     for (int u = 0; u < n; ++u) truth[u] = true_power_of(u, step);
     batched.record_batch(truth, 1.0);
-    for (int u = 0; u < n; ++u) scalar.record(u, truth[u], 1.0);
+    scalar.record_batch(truth, 1.0);
     batched.advance_step();
     scalar.advance_step();
 
-    batch_face.read_power_batch(reads_a);
+    batched.read_power_batch(reads_a);
     for (int u = 0; u < n; ++u) reads_b[u] = scalar.read_power(u);
     for (int u = 0; u < n; ++u) {
       EXPECT_EQ(reads_a[u], reads_b[u]) << "unit " << u << " step " << step;
@@ -89,7 +72,7 @@ void expect_rapl_paths_identical(bool through_default_loops) {
     for (int u = 0; u < n; ++u) {
       caps[u] = cap_request_of(u, step, config.min_cap, config.tdp);
     }
-    batch_face.set_cap_batch(caps);
+    batched.set_cap_batch(caps);
     for (int u = 0; u < n; ++u) scalar.set_cap(u, caps[u]);
 
     batched.effective_caps_batch(eff);
@@ -98,14 +81,6 @@ void expect_rapl_paths_identical(bool through_default_loops) {
       EXPECT_EQ(batched.cap(u), scalar.cap(u));
     }
   }
-}
-
-TEST(BatchEquivalence, SimulatedRaplOverridesMatchPerUnitCalls) {
-  expect_rapl_paths_identical(/*through_default_loops=*/false);
-}
-
-TEST(BatchEquivalence, InterfaceDefaultLoopsMatchPerUnitCalls) {
-  expect_rapl_paths_identical(/*through_default_loops=*/true);
 }
 
 TEST(BatchEquivalence, FaultyPowerBatchMatchesPerUnitUnderActiveFaults) {
@@ -158,12 +133,24 @@ TEST(BatchEquivalence, FaultyPowerBatchMatchesPerUnitUnderActiveFaults) {
   EXPECT_GT(faulty_a.dropped_cap_writes(), 0u);
 }
 
+// The scalar Welch & Bishop filter, x/P/K per the paper's Section 4.3.2:
+// the reference every lane of a KalmanBank must reproduce bitwise.
+struct ScalarKalman {
+  double q, r, x = 0.0, p = 1e6, k = 0.0, initial_variance = 1e6;
+  void update(double z) {
+    p += q;
+    k = p / (p + r);
+    x += k * (z - x);
+    p *= (1.0 - k);
+  }
+};
+
 TEST(KalmanBankEquivalence, UpdatesMatchScalarFiltersBitwise) {
   const std::size_t n = 7;
   const double q = 2.0, r = 16.0;
   KalmanBank bank(q, r);
   bank.reset(n);
-  std::vector<Kalman1D> filters(n, Kalman1D(q, r));
+  std::vector<ScalarKalman> filters(n, ScalarKalman{q, r});
 
   Rng rng(1234);
   std::vector<double> measured(n);
@@ -175,9 +162,9 @@ TEST(KalmanBankEquivalence, UpdatesMatchScalarFiltersBitwise) {
     bank.update(measured);
     for (std::size_t u = 0; u < n; ++u) filters[u].update(measured[u]);
     for (std::size_t u = 0; u < n; ++u) {
-      EXPECT_EQ(bank.estimate(u), filters[u].estimate()) << "u=" << u;
-      EXPECT_EQ(bank.variance(u), filters[u].variance()) << "u=" << u;
-      EXPECT_EQ(bank.last_gain(u), filters[u].last_gain()) << "u=" << u;
+      EXPECT_EQ(bank.estimate(u), filters[u].x) << "u=" << u;
+      EXPECT_EQ(bank.variance(u), filters[u].p) << "u=" << u;
+      EXPECT_EQ(bank.last_gain(u), filters[u].k) << "u=" << u;
     }
   }
 }
@@ -188,8 +175,8 @@ TEST(KalmanBankEquivalence, SeedMatchesScalarReset) {
   bank.reset(n);
   const std::vector<double> first = {10.0, 20.0, 30.0, 40.0};
   bank.seed(first, 9.0);
-  std::vector<Kalman1D> filters(n, Kalman1D(0.5, 9.0));
-  for (std::size_t u = 0; u < n; ++u) filters[u].reset(first[u], 9.0);
+  std::vector<ScalarKalman> filters;
+  for (const double x : first) filters.push_back({0.5, 9.0, x, 9.0, 0.0, 9.0});
 
   std::vector<double> measured(n);
   for (int step = 0; step < 50; ++step) {
@@ -199,7 +186,7 @@ TEST(KalmanBankEquivalence, SeedMatchesScalarReset) {
     bank.update(measured);
     for (std::size_t u = 0; u < n; ++u) filters[u].update(measured[u]);
     for (std::size_t u = 0; u < n; ++u) {
-      EXPECT_EQ(bank.estimate(u), filters[u].estimate());
+      EXPECT_EQ(bank.estimate(u), filters[u].x);
     }
   }
 }
@@ -209,7 +196,7 @@ TEST(KalmanBankEquivalence, CheckpointBytesMatchScalarLoopAndRoundTrip) {
   const double q = 1.5, r = 25.0;
   KalmanBank bank(q, r);
   bank.reset(n);
-  std::vector<Kalman1D> filters(n, Kalman1D(q, r));
+  std::vector<ScalarKalman> filters(n, ScalarKalman{q, r});
   Rng rng(99);
   std::vector<double> measured(n);
   for (int step = 0; step < 37; ++step) {
@@ -218,12 +205,17 @@ TEST(KalmanBankEquivalence, CheckpointBytesMatchScalarLoopAndRoundTrip) {
     for (std::size_t u = 0; u < n; ++u) filters[u].update(measured[u]);
   }
 
-  // The bank's save must emit exactly the bytes a filter-by-filter loop
-  // over vector<Kalman1D> emitted — that is what keeps old checkpoints
-  // loadable.
+  // The checkpoint layout, field by field: per filter [x, P, K,
+  // initial_variance] as f64s. Old checkpoints stay loadable only while
+  // the bank writes exactly these bytes.
   ByteWriter bank_bytes, scalar_bytes;
   bank.save(bank_bytes);
-  for (const auto& filter : filters) filter.save(scalar_bytes);
+  for (const auto& filter : filters) {
+    scalar_bytes.f64(filter.x);
+    scalar_bytes.f64(filter.p);
+    scalar_bytes.f64(filter.k);
+    scalar_bytes.f64(filter.initial_variance);
+  }
   EXPECT_EQ(bank_bytes.bytes(), scalar_bytes.bytes());
 
   // Round trip into a fresh bank restores the exact state: subsequent
@@ -246,6 +238,57 @@ TEST(KalmanBankEquivalence, CheckpointBytesMatchScalarLoopAndRoundTrip) {
       EXPECT_EQ(restored.estimate(u), bank.estimate(u));
     }
   }
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+// The control run tests/data/dps_checkpoint.bin records, written by the
+// code as it stood before the Kalman state moved behind KalmanBank alone:
+// a DpsManager on 4 units with a 440 W budget, 30 decisions over a fixed
+// phased power feed (plain arithmetic, so every platform computes the
+// same readings).
+ControlCheckpoint fixture_run() {
+  ManagerContext ctx;
+  ctx.num_units = 4;
+  ctx.total_budget = 440.0;
+  DpsManager manager;
+  manager.reset(ctx);
+  std::vector<Watts> caps(4, ctx.constant_cap()), previous = caps;
+  std::vector<Watts> measured(4);
+  for (int step = 0; step < 30; ++step) {
+    for (int u = 0; u < 4; ++u) {
+      const bool busy = (step / (3 + u)) % 2 == 0;
+      const Watts demand = busy ? 150.0 + u : 60.0 + 0.5 * (step % 5);
+      measured[u] = std::min(demand, caps[u]);
+    }
+    previous = caps;
+    manager.decide(measured, caps);
+  }
+  return make_checkpoint(manager, ctx, 30, caps, previous);
+}
+
+// An old checkpoint file stays loadable: restoring the committed fixture
+// and saving again gives back the file byte for byte, and today's code
+// replaying the same run writes the same bytes.
+TEST(CheckpointFixture, CommittedDpsCheckpointLoadsAndResavesByteForByte) {
+  const std::string fixture =
+      std::string(DPS_SOURCE_DIR) + "/tests/data/dps_checkpoint.bin";
+  const auto expected = file_bytes(fixture);
+  ASSERT_FALSE(expected.empty());
+  const ControlCheckpoint ckpt = read_checkpoint_file(fixture);
+  DpsManager manager;
+  restore_manager(manager, ckpt);
+
+  const std::string out = testing::TempDir() + "/dps_checkpoint_resaved.bin";
+  write_checkpoint_file(out, make_checkpoint(manager, ckpt.ctx, ckpt.round,
+                                             ckpt.caps, ckpt.previous_caps));
+  EXPECT_EQ(file_bytes(out), expected);
+
+  write_checkpoint_file(out, fixture_run());
+  EXPECT_EQ(file_bytes(out), expected);
 }
 
 TEST(HistorySharedDurations, AllUnitsSeeTheSameWindowAndBoundsAreKept) {

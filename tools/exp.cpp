@@ -266,11 +266,11 @@ std::unique_ptr<PowerManager> make_tree(const Options& options,
   CtrlConfig ctrl;
   ctrl.shard_size = options.tree_shard;
   ctrl.leaf_jobs = options.tree_jobs;
-  auto leaf = [kind, dps = fc.dps,
-               slurm = fc.stateless]() -> std::unique_ptr<PowerManager> {
+  auto leaf = [kind, dps = fc.dps]() -> std::unique_ptr<PowerManager> {
     switch (kind) {
       case ManagerKind::kSlurm:
-        return std::make_unique<SlurmStatelessManager>(slurm);
+        return std::make_unique<SlurmStatelessManager>(
+            slurm_plugin_defaults());
       case ManagerKind::kConstant:
         return std::make_unique<ConstantManager>();
       default:
@@ -335,7 +335,7 @@ void run_sched_mode(const Options& options, const FileConfig& fc) {
   config.thermal = resolve_thermal(options, fc);
 
   DpsManager dps(fc.dps);
-  SlurmStatelessManager slurm(fc.stateless);
+  SlurmStatelessManager slurm(slurm_plugin_defaults());
   ConstantManager constant;
   PowerManager* manager = &dps;
   const auto kind = manager_kind(options.manager);
@@ -423,7 +423,6 @@ int main(int argc, char** argv) {
     params.budget_per_socket = options->budget_per_socket;
     params.sockets_per_cluster = options->sockets;
     params.dps = fc.dps;
-    params.slurm = fc.stateless;
     params.thermal = resolve_thermal(*options, fc);
     PairRunner runner(params);
 
@@ -491,7 +490,7 @@ int main(int argc, char** argv) {
            GroupSpec{workload_b, options->sockets, options->seed + 1}});
       SimulatedRapl rapl(cluster.total_units());
       DpsManager dps(fc.dps);
-      SlurmStatelessManager slurm(fc.stateless);
+      SlurmStatelessManager slurm(slurm_plugin_defaults());
       ConstantManager constant;
       OracleManager oracle(
           [&cluster](std::span<Watts> out) { cluster.true_demands(out); });
